@@ -92,6 +92,8 @@ def cmd_prepare(args) -> int:
 
 def _build_learning_graph(args):
     """Shared prefix-split / dedupe / census / filter / build pipeline."""
+    if not 0.0 < args.learn_split <= 1.0:
+        raise ValueError(f"--learn-split must be in (0, 1], got {args.learn_split}")
     with open(args.flows, encoding="utf-8", newline="") as fh:
         records = list(parse_flows(fh))
     prefix = int(len(records) * args.learn_split)

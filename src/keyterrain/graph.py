@@ -64,7 +64,6 @@ class StaticGraph:
             (pair_index[e[2]] for e in ordered), dtype=np.int64, count=m
         )
         self.out_degree = np.bincount(self.edge_src, minlength=self.n).astype(np.int64)
-        self._incoming: list[list[tuple[int, PortPair]]] | None = None
 
     @property
     def n(self) -> int:
@@ -78,15 +77,6 @@ class StaticGraph:
         """Edge triples (src_vertex, dst_vertex, pair) in stored order."""
         for s, d, p in zip(self.edge_src, self.edge_dst, self.edge_pair_id):
             yield int(s), int(d), self.pairs[int(p)]
-
-    def incoming(self, vertex: int) -> list[tuple[int, PortPair]]:
-        """Incoming adjacency of ``vertex`` as (src_vertex, pair) entries."""
-        if self._incoming is None:
-            lists: list[list[tuple[int, PortPair]]] = [[] for _ in range(self.n)]
-            for s, d, pair in self.edges():
-                lists[d].append((s, pair))
-            self._incoming = lists
-        return self._incoming[vertex]
 
 
 def build_static_graph(

@@ -17,7 +17,14 @@ import numpy as np
 from .flows import PortPair
 from .graph import StaticGraph
 from .labels import AddressSet
-from .pagerank import DEFAULT_DAMPING, DampingTable, adjusted_iteration, init_scores
+from .metrics import mask_f1
+from .pagerank import (
+    DEFAULT_DAMPING,
+    DampingTable,
+    adjusted_iteration,
+    classify,
+    init_scores,
+)
 
 HEURISTICS = ("minimum", "maximum", "average", "smallest_difference")
 
@@ -49,24 +56,18 @@ class LearnResult:
     f1_trace: list[float] = field(default_factory=list)
 
 
-def _evaluate(scores: np.ndarray, label_mask: np.ndarray) -> tuple[float, set[int]]:
-    predicted = scores > 1.0 / len(scores)
-    tp = int(np.count_nonzero(predicted & label_mask))
-    fp = int(np.count_nonzero(predicted & ~label_mask))
-    fn = int(np.count_nonzero(~predicted & label_mask))
-    denom = 2 * tp + fp + fn
-    f1 = 2.0 * tp / denom if denom else 0.0
-    misclassified = {int(i) for i in np.flatnonzero(predicted != label_mask)}
-    return f1, misclassified
+def _evaluate(scores: np.ndarray, label_mask: np.ndarray) -> tuple[float, np.ndarray]:
+    predicted = classify(scores)
+    return mask_f1(predicted, label_mask), predicted != label_mask
 
 
 def evaluate_classification(
     scores: np.ndarray, graph: StaticGraph, labels: AddressSet
-) -> tuple[float, set[int]]:
-    """F1 of the critical class plus the set of misclassified vertex indices.
+) -> tuple[float, np.ndarray]:
+    """F1 of the critical class plus a boolean mask of misclassified vertices.
 
-    A vertex is predicted critical when its score strictly exceeds 1/n;
-    precision or recall with a zero denominator counts as 0.
+    A vertex is predicted critical when ``classify`` marks it (score strictly
+    above 1/n); F1 is 0 when no vertex is a true positive.
     """
     if not labels:
         raise ValueError("labels are empty")
@@ -74,19 +75,24 @@ def evaluate_classification(
 
 
 def choose_conflict_port_pair(
-    graph: StaticGraph, misclassified: set[int], rng: random.Random
+    graph: StaticGraph, misclassified: np.ndarray, rng: random.Random
 ) -> PortPair:
     """Uniform draw over the multiset of port pairs on edges of misclassified vertices.
 
-    Incoming edges are preferred; outgoing edges are the fallback; when the
+    ``misclassified`` is a boolean mask over the graph's vertices. Incoming
+    edges are preferred; outgoing edges are the fallback; when the
     misclassified vertices have no edges at all, the draw is uniform over all
     retained pairs.
     """
     if graph.edge_count == 0:
         raise ValueError("graph has no edges")
-    targets = np.fromiter(sorted(misclassified), dtype=np.int64, count=len(misclassified))
+    misclassified = np.asarray(misclassified, dtype=bool)
+    if misclassified.shape != (graph.n,):
+        raise ValueError(
+            f"misclassified mask shape {misclassified.shape} does not match n={graph.n}"
+        )
     for endpoint in (graph.edge_dst, graph.edge_src):
-        mask = np.isin(endpoint, targets)
+        mask = misclassified[endpoint]
         if mask.any():
             candidates = graph.edge_pair_id[mask]
             return graph.pairs[int(candidates[rng.randrange(len(candidates))])]
@@ -129,8 +135,7 @@ def _hill_climb(
     trials = []
     for value in grid:
         trial_scores = adjusted_iteration(graph, scores, table.with_factor(pair, value))
-        f1, _ = _evaluate(trial_scores, label_mask)
-        trials.append((value, f1))
+        trials.append((value, mask_f1(classify(trial_scores), label_mask)))
     best_f1 = max(f1 for _, f1 in trials)
     allowable = [value for value, f1 in trials if f1 == best_f1]
 

@@ -1,11 +1,10 @@
-"""Classification metrics, top-k accounting, cross-run variance, and report files."""
+"""Classification metrics, top-k accounting, cross-run variance, and run summaries."""
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,8 +36,25 @@ def precision_recall_f1(
     fn = sum(1 for ip in universe if ip in labels and ip not in predicted)
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return Metrics(tp, fp, fn, precision, recall, f1)
+    return Metrics(tp, fp, fn, precision, recall, f1_from_counts(tp, fp, fn))
+
+
+def f1_from_counts(tp: int, fp: int, fn: int) -> float:
+    """Critical-class F1 as 2tp / (2tp + fp + fn), 0 when that denominator is 0.
+
+    Equal to the harmonic mean of precision and recall, but rounded once, so
+    equal-F1 ties compare exactly.
+    """
+    denom = 2 * tp + fp + fn
+    return 2.0 * tp / denom if denom else 0.0
+
+
+def mask_f1(predicted: np.ndarray, actual: np.ndarray) -> float:
+    """F1 of a boolean prediction against a boolean label mask of the same shape."""
+    tp = int(np.count_nonzero(predicted & actual))
+    fp = int(np.count_nonzero(predicted & ~actual))
+    fn = int(np.count_nonzero(~predicted & actual))
+    return f1_from_counts(tp, fp, fn)
 
 
 def topk_true_positives(
@@ -74,45 +90,6 @@ def variance_of_tp(samples_by_run: Sequence[Sequence[float]]) -> float:
     if arr.shape[0] < 2:
         raise ValueError("variance needs at least two runs")
     return float(np.var(arr, axis=0).mean())
-
-
-def write_f1_table(
-    out: IO[str], columns: Sequence[str], rows: Mapping[str, Sequence[float]]
-) -> None:
-    """CSV of F1 scores, one row per heuristic and one column per dataset/run."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["heuristic", *columns])
-    for name, values in rows.items():
-        if len(values) != len(columns):
-            raise ValueError(f"row {name!r} has {len(values)} values for {len(columns)} columns")
-        writer.writerow([name, *values])
-
-
-def write_topk_table(
-    out: IO[str],
-    sample_names: Sequence[str],
-    rows: Mapping[str, tuple[Sequence[float], Sequence[float], float | None]],
-) -> None:
-    """CSV of per-sample top-k true positives, local-member counts, and variance.
-
-    ``rows`` maps a heuristic name to (tp per sample, local members per
-    sample, cross-run variance or None).
-    """
-    out.write("# variance: population (divided by run count)\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["heuristic"]
-        + [f"tp_{name}" for name in sample_names]
-        + [f"local_{name}" for name in sample_names]
-        + ["variance"]
-    )
-    width = len(sample_names)
-    for name, (tp_values, member_values, variance) in rows.items():
-        if len(tp_values) != width or len(member_values) != width:
-            raise ValueError(f"row {name!r} does not match the {width} sample columns")
-        writer.writerow(
-            [name, *tp_values, *member_values, "" if variance is None else variance]
-        )
 
 
 def write_run_summary(path, summary: dict) -> None:

@@ -159,6 +159,21 @@ def adjusted_iteration(
     return 1.0 / n - surrendered + incoming
 
 
+def _converge(graph: StaticGraph, step, tolerance: float, max_iters: int) -> ConvergenceResult:
+    """The one convergence loop: apply ``step`` from the uniform vector until
+    the L1 change drops below ``tolerance`` or ``max_iters`` is reached."""
+    if tolerance <= 0.0:
+        raise ValueError("tolerance must be positive")
+    scores = init_scores(graph)
+    for i in range(1, max_iters + 1):
+        nxt = step(scores)
+        delta = float(np.sum(np.abs(nxt - scores)))
+        scores = nxt
+        if delta < tolerance:
+            return ConvergenceResult(scores, True, i)
+    return ConvergenceResult(scores, False, max_iters)
+
+
 def run_to_convergence(
     graph: StaticGraph,
     damping: float = DEFAULT_DAMPING,
@@ -170,16 +185,9 @@ def run_to_convergence(
 
     Non-convergence is reported through the ``converged`` flag, not an error.
     """
-    if tolerance <= 0.0:
-        raise ValueError("tolerance must be positive")
-    scores = init_scores(graph)
-    for i in range(1, max_iters + 1):
-        nxt = default_iteration(graph, scores, damping)
-        delta = float(np.sum(np.abs(nxt - scores)))
-        scores = nxt
-        if delta < tolerance:
-            return ConvergenceResult(scores, True, i)
-    return ConvergenceResult(scores, False, max_iters)
+    return _converge(
+        graph, lambda prev: default_iteration(graph, prev, damping), tolerance, max_iters
+    )
 
 
 def run_adjusted_to_convergence(
@@ -189,22 +197,15 @@ def run_adjusted_to_convergence(
     max_iters: int = 100,
 ) -> ConvergenceResult:
     """Convergence driver for the per-edge-factor iteration (same stop rule)."""
-    if tolerance <= 0.0:
-        raise ValueError("tolerance must be positive")
-    scores = init_scores(graph)
-    for i in range(1, max_iters + 1):
-        nxt = adjusted_iteration(graph, scores, table)
-        delta = float(np.sum(np.abs(nxt - scores)))
-        scores = nxt
-        if delta < tolerance:
-            return ConvergenceResult(scores, True, i)
-    return ConvergenceResult(scores, False, max_iters)
+    return _converge(
+        graph, lambda prev: adjusted_iteration(graph, prev, table), tolerance, max_iters
+    )
 
 
-def classify(scores: np.ndarray) -> set[int]:
-    """Vertices whose score strictly exceeds the 1/n criticality threshold."""
+def classify(scores: np.ndarray) -> np.ndarray:
+    """Boolean mask of the vertices whose score strictly exceeds the 1/n
+    criticality threshold; the one place that rule is decided."""
     scores = np.asarray(scores)
     if scores.size == 0:
         raise ValueError("empty score vector")
-    threshold = 1.0 / scores.size
-    return {int(i) for i in np.flatnonzero(scores > threshold)}
+    return scores > 1.0 / scores.size

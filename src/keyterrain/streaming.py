@@ -15,8 +15,8 @@ import numpy as np
 
 from .flows import FlowRecord
 from .labels import AddressSet
-from .metrics import precision_recall_f1, topk_true_positives
-from .pagerank import DampingTable
+from .metrics import mask_f1, topk_true_positives
+from .pagerank import DampingTable, classify
 
 
 @dataclass
@@ -118,12 +118,7 @@ def _take_sample(
     f1 = None
     topk_tp = None
     if labels is not None:
-        if state.n:
-            threshold = 1.0 / state.n
-            predicted = {state.vertices[int(i)] for i in np.flatnonzero(scores > threshold)}
-        else:
-            predicted = set()
-        f1 = precision_recall_f1(predicted, labels, state.vertices).f1
+        f1 = mask_f1(classify(scores), labels.mask(state.vertices)) if state.n else 0.0
         topk_tp = topk_true_positives(ranking, labels, config.top_k)[0]
     return SamplePoint(state.flows_processed, state.n, top, f1, topk_tp)
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from keyterrain.flows import FlowRecord, PortPair
 from keyterrain.graph import StaticGraph, build_static_graph
 from keyterrain.labels import AddressSet
@@ -167,3 +169,40 @@ def ring5_stream(repetitions=200, seed=7):
             flows.append(ring5_flow(u, v, ts))
             ts += 1
     return flows
+
+
+def tangled_instance(seed=11, n=40, flow_count=600):
+    """Seeded skewed traffic whose labels the learner does not fit.
+
+    Destinations are drawn with weight 1/(rank+1) over a small port pool, so
+    a few hosts carry most of the inbound flows; the labels mix heavy and
+    light hosts, so the learner stays below F1 1 and runs to its iteration
+    cap. Returns (records, labels).
+    """
+    rng = random.Random(seed)
+    ips = [ip_of(i) for i in range(n)]
+    weights = [1.0 / (i + 1) for i in range(n)]
+    records = []
+    for ts in range(flow_count):
+        src = rng.choice(ips)
+        dst = rng.choices(ips, weights)[0]
+        sport = rng.choice(PORT_POOL)
+        dport = rng.choice(PORT_POOL)
+        records.append(FlowRecord(src, dst, sport, dport, ts, ts))
+    labels = AddressSet([ips[i] for i in (0, 2, 5, 9, 17, 23, 31)])
+    return records, labels
+
+
+def conflict_pair_by_index_set(graph: StaticGraph, misclassified: set, rng: random.Random):
+    """Conflict-pair draw over a set of vertex indices via ``np.isin``.
+
+    Independent of the library's mask path: the misclassified set is sorted
+    and matched against each edge endpoint array, incoming edges first.
+    """
+    targets = np.fromiter(sorted(misclassified), dtype=np.int64, count=len(misclassified))
+    for endpoint in (graph.edge_dst, graph.edge_src):
+        mask = np.isin(endpoint, targets)
+        if mask.any():
+            candidates = graph.edge_pair_id[mask]
+            return graph.pairs[int(candidates[rng.randrange(len(candidates))])]
+    return rng.choice(graph.pairs)

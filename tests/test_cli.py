@@ -1,5 +1,6 @@
 """End-to-end CLI runs over temporary files."""
 
+import hashlib
 import json
 
 import pytest
@@ -7,7 +8,28 @@ import pytest
 from keyterrain.cli import main
 from keyterrain.flows import parse_flows, write_flows
 
-from instances import STAR_SERVER, flow, star_instance
+from instances import STAR_SERVER, flow, star_instance, tangled_instance
+
+# sha256 of (factors.csv, f1_trace.csv) for a seeded 60-iteration learn on
+# tangled_instance(); any change to a choice the learner makes changes them
+TANGLED_DIGESTS = {
+    "minimum": (
+        "01f46fae354b204b45a46ce989c4b195bf2cf41a1af4008d9481f60c045c86b7",
+        "3208eaa9399c6ad8917e4be9531913a36a8b8da2b0da45c8657442408304f647",
+    ),
+    "maximum": (
+        "ebde4ba2fdf0a354c45cbd4e307610c0d88017ac6c10313fe9317f8416a38f35",
+        "b9a4acee3bd8126b9d900746006ad6301ef6e73bfe23ca2903879823cda4e0ab",
+    ),
+    "average": (
+        "d5777bb73406c0514a9b6135f7f56dd1a6cdfcc915ff466fe4b50343e3f9510c",
+        "d93233ccc2766bdee7c47a55e62796ace1acf37f84b9a6d89a9867d7c2731ba2",
+    ),
+    "smallest-difference": (
+        "8cdf8a84936efc0f2def0cca2d17660a0540b27a7e80f781a7157d3b8b19bde1",
+        "cd801c054c7fb8ff12879e8961dbe7bd418cca47f2a24c0bbd03918157bf2066",
+    ),
+}
 
 
 @pytest.fixture
@@ -180,6 +202,36 @@ class TestLearn:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["config"]["heuristic"] == "smallest_difference"
 
+    @pytest.mark.parametrize("heuristic", sorted(TANGLED_DIGESTS))
+    def test_seeded_outputs_pinned(self, tmp_path, heuristic):
+        records, labels = tangled_instance()
+        flows_path = tmp_path / "flows.csv"
+        with open(flows_path, "w", newline="") as fh:
+            write_flows(records, fh)
+        labels_path = tmp_path / "labels.txt"
+        labels_path.write_text("".join(f"{ip}\n" for ip in sorted(labels.addresses)))
+        out_dir = tmp_path / "out"
+        args = learn_args(
+            flows_path, labels_path, out_dir, heuristic=heuristic, max_iterations=60
+        )
+        assert main(args) == 0
+        digests = tuple(
+            hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in ("factors.csv", "f1_trace.csv")
+        )
+        assert digests == TANGLED_DIGESTS[heuristic]
+
+    @pytest.mark.parametrize("split", ["1.5", "-0.2", "0"])
+    def test_learn_split_out_of_range(self, star_files, tmp_path, capsys, split):
+        _, labels_path = star_files
+        # a flow file that does not exist: the split must be rejected before it is read
+        args = learn_args(tmp_path / "absent.csv", labels_path, tmp_path / "out")
+        args[args.index("--learn-split") + 1] = split
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --learn-split must be in (0, 1]")
+        assert not (tmp_path / "out").exists()
+
 
 class TestStream:
     def test_default_factors_run(self, star_files, tmp_path):
@@ -303,6 +355,20 @@ class TestBaseline:
             return payload["default_pagerank"]["iterations"]
 
         assert iterations("0.001") <= iterations("1e-12")
+
+    @pytest.mark.parametrize("split", ["1.5", "-0.2", "0"])
+    def test_learn_split_out_of_range(self, star_files, tmp_path, capsys, split):
+        _, labels_path = star_files
+        code = main(
+            [
+                "baseline", "--flows", str(tmp_path / "absent.csv"),
+                "--labels", str(labels_path), "--pair-fraction", "0.01",
+                "--learn-split", split, "--out", str(tmp_path / "base"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --learn-split must be in (0, 1]")
+        assert not (tmp_path / "base").exists()
 
 
 def test_help_lists_commands(capsys):

@@ -31,6 +31,12 @@ def single_edge():
     return graph_of([("10.0.0.1", "10.0.0.2", (1000, 2000))])
 
 
+def vertex_mask(graph, *vertices):
+    mask = np.zeros(graph.n, dtype=bool)
+    mask[list(vertices)] = True
+    return mask
+
+
 def serialize(table):
     buf = io.StringIO()
     write_damping_table(table, buf)
@@ -44,7 +50,7 @@ class TestEvaluateClassification:
             np.array([0.075, 0.925]), graph, AddressSet(["10.0.0.2"])
         )
         assert f1 == 1.0
-        assert miscl == set()
+        assert not miscl.any()
 
     def test_false_positive(self):
         graph = single_edge()
@@ -52,7 +58,7 @@ class TestEvaluateClassification:
             np.array([0.6, 0.6]), graph, AddressSet(["10.0.0.2"])
         )
         assert f1 == pytest.approx(2 / 3)
-        assert miscl == {graph.vertex_index["10.0.0.1"]}
+        assert np.array_equal(miscl, vertex_mask(graph, graph.vertex_index["10.0.0.1"]))
 
     def test_nothing_predicted(self):
         graph = single_edge()
@@ -60,7 +66,7 @@ class TestEvaluateClassification:
             np.array([0.5, 0.5]), graph, AddressSet(["10.0.0.2"])
         )
         assert f1 == 0.0
-        assert miscl == {graph.vertex_index["10.0.0.2"]}
+        assert np.array_equal(miscl, vertex_mask(graph, graph.vertex_index["10.0.0.2"]))
 
     def test_cidr_labels(self):
         graph = single_edge()
@@ -79,23 +85,30 @@ class TestChooseConflictPortPair:
     def test_single_incoming_edge(self):
         graph = single_edge()
         target = graph.vertex_index["10.0.0.2"]
-        pair = choose_conflict_port_pair(graph, {target}, random.Random(0))
+        pair = choose_conflict_port_pair(graph, vertex_mask(graph, target), random.Random(0))
         assert pair == P
 
     def test_fallback_to_outgoing(self):
         graph = single_edge()
         source = graph.vertex_index["10.0.0.1"]
-        pair = choose_conflict_port_pair(graph, {source}, random.Random(0))
+        pair = choose_conflict_port_pair(graph, vertex_mask(graph, source), random.Random(0))
         assert pair == P
 
     def test_fallback_to_retained_pairs(self):
         graph = single_edge()
-        pair = choose_conflict_port_pair(graph, set(), random.Random(0))
+        pair = choose_conflict_port_pair(graph, vertex_mask(graph), random.Random(0))
         assert pair in graph.pairs
 
     def test_edgeless_graph_is_an_error(self):
         with pytest.raises(ValueError, match="no edges"):
-            choose_conflict_port_pair(StaticGraph(["10.0.0.1"], []), {0}, random.Random(0))
+            choose_conflict_port_pair(
+                StaticGraph(["10.0.0.1"], []), np.ones(1, dtype=bool), random.Random(0)
+            )
+
+    def test_mask_length_must_match_vertices(self):
+        graph = single_edge()
+        with pytest.raises(ValueError, match="mask shape"):
+            choose_conflict_port_pair(graph, np.ones(3, dtype=bool), random.Random(0))
 
     def test_two_incoming_edges_are_uniform(self):
         graph = graph_of(
@@ -104,10 +117,10 @@ class TestChooseConflictPortPair:
                 ("10.0.0.2", "10.0.0.9", (2, 2)),
             ]
         )
-        target = graph.vertex_index["10.0.0.9"]
+        target = vertex_mask(graph, graph.vertex_index["10.0.0.9"])
         rng = random.Random(123)
         draws = sum(
-            choose_conflict_port_pair(graph, {target}, rng) == PortPair(1, 1)
+            choose_conflict_port_pair(graph, target, rng) == PortPair(1, 1)
             for _ in range(10_000)
         )
         assert abs(draws / 10_000 - 0.5) <= 0.05
@@ -119,10 +132,10 @@ class TestChooseConflictPortPair:
                 ("10.0.0.9", "10.0.0.2", (2, 2)),
             ]
         )
-        target = graph.vertex_index["10.0.0.9"]
+        target = vertex_mask(graph, graph.vertex_index["10.0.0.9"])
         rng = random.Random(5)
         for _ in range(50):
-            assert choose_conflict_port_pair(graph, {target}, rng) == PortPair(1, 1)
+            assert choose_conflict_port_pair(graph, target, rng) == PortPair(1, 1)
 
 
 class TestRandomWalkStep:

@@ -1,4 +1,4 @@
-"""Precision/recall/F1, top-k accounting, variance, and report writers."""
+"""Precision/recall/F1, top-k accounting, variance, and run summaries."""
 
 import io
 import json
@@ -11,9 +11,7 @@ from keyterrain.metrics import (
     precision_recall_f1,
     topk_true_positives,
     variance_of_tp,
-    write_f1_table,
     write_run_summary,
-    write_topk_table,
 )
 
 
@@ -127,38 +125,6 @@ class TestVariance:
 
 
 class TestReportWriters:
-    def test_f1_table(self):
-        buf = io.StringIO()
-        write_f1_table(
-            buf,
-            ["team1", "team2"],
-            {"default": [0.03, 0.02], "minimum": [0.75, 0.77]},
-        )
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "heuristic,team1,team2"
-        assert lines[1] == "default,0.03,0.02"
-        assert lines[2] == "minimum,0.75,0.77"
-
-    def test_f1_table_width_mismatch(self):
-        with pytest.raises(ValueError):
-            write_f1_table(io.StringIO(), ["a"], {"minimum": [0.1, 0.2]})
-
-    def test_topk_table(self):
-        buf = io.StringIO()
-        write_topk_table(
-            buf,
-            ["s1", "s2"],
-            {
-                "minimum": ([26.4, 28.3], [41.4, 37.8], 18.9),
-                "default": ([24, 24], [35, 32], None),
-            },
-        )
-        lines = buf.getvalue().splitlines()
-        assert lines[0].startswith("# variance: population")
-        assert lines[1] == "heuristic,tp_s1,tp_s2,local_s1,local_s2,variance"
-        assert lines[2] == "minimum,26.4,28.3,41.4,37.8,18.9"
-        assert lines[3] == "default,24,24,35,32,"
-
     def test_run_summary_round_trips(self, tmp_path):
         path = tmp_path / "report.json"
         payload = {"best_f1": 0.75, "iterations": 12}
