@@ -54,15 +54,18 @@ class StaticGraph:
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[int, int, PortPair]]):
         self.vertices: list[str] = list(vertices)
         self.vertex_index: dict[str, int] = {ip: i for i, ip in enumerate(self.vertices)}
-        ordered = sorted((s, d, PortPair(*p)) for s, d, p in edges)
-        self.pairs: list[PortPair] = sorted({pair for _, _, pair in ordered})
-        pair_index = {pair: i for i, pair in enumerate(self.pairs)}
-        m = len(ordered)
-        self.edge_src = np.fromiter((e[0] for e in ordered), dtype=np.int64, count=m)
-        self.edge_dst = np.fromiter((e[1] for e in ordered), dtype=np.int64, count=m)
-        self.edge_pair_id = np.fromiter(
-            (pair_index[e[2]] for e in ordered), dtype=np.int64, count=m
-        )
+        columns = np.array(
+            [(s, d, p[0], p[1]) for s, d, p in edges], dtype=np.int64
+        ).reshape(-1, 4)
+        src, dst = columns[:, 0], columns[:, 1]
+        # ports are 16-bit, so this key orders pairs as (src_port, dst_port) does
+        pair_key = (columns[:, 2] << 16) | columns[:, 3]
+        order = np.lexsort((pair_key, dst, src))
+        keys, pair_id = np.unique(pair_key[order], return_inverse=True)
+        self.pairs: list[PortPair] = [PortPair(int(k) >> 16, int(k) & 0xFFFF) for k in keys]
+        self.edge_src = src[order]
+        self.edge_dst = dst[order]
+        self.edge_pair_id = pair_id.astype(np.int64)
         self.out_degree = np.bincount(self.edge_src, minlength=self.n).astype(np.int64)
 
     @property

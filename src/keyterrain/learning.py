@@ -122,6 +122,75 @@ def grid_values(step: float = 0.05) -> list[float]:
     return values
 
 
+# Rounding slack of a grid estimate, in eps per term of its vertex's score sum;
+# the bound it covers is derived in _grid_f1s.
+_MARGIN_ULPS = 4.0
+
+
+def _grid_f1s(
+    graph: StaticGraph,
+    scores: np.ndarray,
+    table: DampingTable,
+    pair: PortPair,
+    label_mask: np.ndarray,
+    grid: list[float],
+) -> list[float]:
+    """F1 of each grid value for ``pair`` after one adjusted iteration from
+    ``scores``, bit for bit what a full ``adjusted_iteration`` per value gives.
+
+    Only the pair's edges change between trials. A vertex that none of them
+    touches sums the same pushes in the same order in every trial, so its
+    score equals the one at the current table (``base``) bitwise. A touched
+    vertex's score is affine in the factor, ``base + (v - f_old) * delta``,
+    where ``delta`` is its incoming minus its surrendered share over the
+    pair's edges. That estimate decides the vertex's class unless it lies
+    within the rounding margin of 1/n or is not finite; then the whole trial
+    is recomputed with ``adjusted_iteration``.
+    """
+    n = graph.n
+    threshold = 1.0 / n
+    base = adjusted_iteration(graph, scores, table)
+    share = scores[graph.edge_src] / graph.out_degree[graph.edge_src]
+    on_pair = np.flatnonzero(
+        graph.edge_pair_id == (graph.pairs.index(pair) if pair in graph.pairs else -1)
+    )
+    src, dst, pair_share = graph.edge_src[on_pair], graph.edge_dst[on_pair], share[on_pair]
+    touched = np.flatnonzero(np.bincount(np.concatenate((src, dst)), minlength=n))
+    delta = (np.bincount(dst, pair_share, n) - np.bincount(src, pair_share, n))[touched]
+
+    # The margin. With u = eps/2, a vertex x with k = in-degree + out-degree
+    # edges gets its score as fl(fl(t - S) + I), t = fl(1/n), where I and S
+    # are left-to-right sums of pushes fl(fl(f * p) / d) with f in [0, 1].
+    # Let A = t + |p_x| + the sum of |p / d| over x's in-edges; each out-edge
+    # carries p_x / d_x, so A bounds t plus all of x's |pushes| and |shares|.
+    # Standard error analysis puts base and the exact trial each within
+    # (k + 3)u * A of their real values and delta within (k + 2)u * A; the
+    # product and the sum forming the estimate add 3u * A, up to O(u^2). So
+    # the estimate lies within (3k + 11)u * A of the exact trial score. The
+    # margin 4 * (k + 3) * eps * A = (8k + 24)u * A more than doubles that,
+    # which also covers rounding in A and in the margin itself. Taking 4 * A
+    # first makes the margin infinite (so the trial is recomputed) once A is
+    # large enough for a sum to overflow, where the analysis fails; subnormal
+    # results add absolute errors far below eps * t.
+    mass = threshold + np.abs(scores) + np.bincount(graph.edge_dst, np.abs(share), n)
+    terms = np.bincount(graph.edge_dst, minlength=n) + graph.out_degree + 3
+    margin = (_MARGIN_ULPS * mass[touched]) * (terms[touched] * np.finfo(float).eps)
+
+    f_old = table.lookup(pair)
+    start = base[touched]
+    trial = base.copy()
+    f1s = []
+    for value in grid:
+        estimate = start + (value - f_old) * delta
+        if np.all(np.abs(estimate - threshold) > margin):
+            trial[touched] = estimate
+            scored = trial
+        else:
+            scored = adjusted_iteration(graph, scores, table.with_factor(pair, value))
+        f1s.append(mask_f1(classify(scored), label_mask))
+    return f1s
+
+
 def _hill_climb(
     graph: StaticGraph,
     scores: np.ndarray,
@@ -132,10 +201,7 @@ def _hill_climb(
     current_f1: float,
     grid: list[float],
 ) -> DampingTable:
-    trials = []
-    for value in grid:
-        trial_scores = adjusted_iteration(graph, scores, table.with_factor(pair, value))
-        trials.append((value, mask_f1(classify(trial_scores), label_mask)))
+    trials = list(zip(grid, _grid_f1s(graph, scores, table, pair, label_mask, grid)))
     best_f1 = max(f1 for _, f1 in trials)
     allowable = [value for value, f1 in trials if f1 == best_f1]
 
@@ -176,8 +242,12 @@ def hill_climb_step(
 ) -> DampingTable:
     """Grid-search one pair's factor and commit a value per the tie heuristic.
 
-    Each grid value is scored by one adjusted iteration started from
-    ``scores``; the committed score state is never touched here. On a strict
+    Each grid value is scored by the F1 of one adjusted iteration started
+    from ``scores``; the committed score state is never touched here. The
+    whole grid costs about one full iteration: the trials differ only on the
+    vertices the pair's edges touch, whose scores are affine in the factor
+    (see ``_grid_f1s``), so a full iteration per value runs only when
+    rounding could decide a vertex's class. On a strict
     improvement every heuristic commits from the best-scoring grid values
     (minimum takes the smallest, maximum the largest, average their mean,
     smallest_difference the one closest to the default factor, larger value

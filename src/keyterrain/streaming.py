@@ -97,29 +97,49 @@ def stream_update(
     return state
 
 
+def _normalized_scores(state: StreamState) -> np.ndarray:
+    ranks = np.asarray(state.rank_mass, dtype=float)
+    total = ranks.sum()
+    return ranks / total if total > 0.0 else np.zeros_like(ranks)
+
+
 def snapshot(state: StreamState) -> tuple[np.ndarray, list[str]]:
     """Normalized scores and the descending IP ranking.
 
     Ties rank by registration order; an all-zero state yields all-zero
     scores (no division) and the registration order itself.
     """
-    ranks = np.asarray(state.rank_mass, dtype=float)
-    total = ranks.sum()
-    scores = ranks / total if total > 0.0 else np.zeros_like(ranks)
+    scores = _normalized_scores(state)
     order = np.lexsort((np.arange(len(scores)), -scores))
     return scores, [state.vertices[i] for i in order]
 
 
+def _top_indices(scores: np.ndarray, k: int) -> np.ndarray:
+    """The first k vertices of ``snapshot``'s ranking, without ranking the rest:
+    only scores at or above the k-th highest are sorted."""
+    candidates = np.arange(len(scores))
+    if k < len(scores):
+        kth = -np.partition(-scores, k - 1)[k - 1]
+        candidates = candidates[scores >= kth]
+    return candidates[np.lexsort((candidates, -scores[candidates]))][:k]
+
+
 def _take_sample(
-    state: StreamState, config: StreamConfig, labels: AddressSet | None
+    state: StreamState,
+    config: StreamConfig,
+    labels: AddressSet | None,
+    label_flags: list[bool],
 ) -> SamplePoint:
-    scores, ranking = snapshot(state)
-    top = [(ip, float(scores[state.vertex_index[ip]])) for ip in ranking[: config.top_k]]
+    """``label_flags`` holds the label membership of the vertices registered
+    by the previous sample and is extended over the ones registered since."""
+    scores = _normalized_scores(state)
+    top = [(state.vertices[i], float(scores[i])) for i in _top_indices(scores, config.top_k)]
     f1 = None
     topk_tp = None
     if labels is not None:
-        f1 = mask_f1(classify(scores), labels.mask(state.vertices)) if state.n else 0.0
-        topk_tp = topk_true_positives(ranking, labels, config.top_k)[0]
+        label_flags.extend(ip in labels for ip in state.vertices[len(label_flags):])
+        f1 = mask_f1(classify(scores), np.array(label_flags, dtype=bool)) if state.n else 0.0
+        topk_tp = topk_true_positives([ip for ip, _ in top], labels, config.top_k)[0]
     return SamplePoint(state.flows_processed, state.n, top, f1, topk_tp)
 
 
@@ -141,11 +161,12 @@ def run_stream(
     state = state if state is not None else StreamState()
     interval = config.sample_interval
     samples = []
+    label_flags: list[bool] = []
     for flow in flows:
         stream_update(state, flow, table, config.beta)
         if interval and state.flows_processed % interval == 0:
-            samples.append(_take_sample(state, config, labels))
-    samples.append(_take_sample(state, config, labels))
+            samples.append(_take_sample(state, config, labels, label_flags))
+    samples.append(_take_sample(state, config, labels, label_flags))
     return samples
 
 

@@ -9,7 +9,8 @@ import numpy as np
 from keyterrain.flows import FlowRecord, PortPair
 from keyterrain.graph import StaticGraph, build_static_graph
 from keyterrain.labels import AddressSet
-from keyterrain.pagerank import DampingTable
+from keyterrain.metrics import mask_f1
+from keyterrain.pagerank import DampingTable, adjusted_iteration, classify
 
 PORT_POOL = (22, 53, 80, 443, 8080, 50000)
 
@@ -206,3 +207,15 @@ def conflict_pair_by_index_set(graph: StaticGraph, misclassified: set, rng: rand
             candidates = graph.edge_pair_id[mask]
             return graph.pairs[int(candidates[rng.randrange(len(candidates))])]
     return rng.choice(graph.pairs)
+
+
+def grid_f1s_by_full_recompute(graph, scores, table, pair, label_mask, grid):
+    """Trial F1 per grid value the direct way: one full adjusted iteration
+    from ``scores`` per value, with the pair's factor replaced."""
+    return [
+        mask_f1(
+            classify(adjusted_iteration(graph, scores, table.with_factor(pair, value))),
+            label_mask,
+        )
+        for value in grid
+    ]

@@ -30,6 +30,8 @@ TANGLED_DIGESTS = {
         "cd801c054c7fb8ff12879e8961dbe7bd418cca47f2a24c0bbd03918157bf2066",
     ),
 }
+# sha256 of graph_edges.csv for the same runs: one learning graph for every heuristic
+TANGLED_EDGES_DIGEST = "3c0d24bfac16a1cb2c0687a384b7829189caa0720948e129320510cd9f3000c7"
 
 
 @pytest.fixture
@@ -220,6 +222,8 @@ class TestLearn:
             for name in ("factors.csv", "f1_trace.csv")
         )
         assert digests == TANGLED_DIGESTS[heuristic]
+        edges = hashlib.sha256((out_dir / "graph_edges.csv").read_bytes()).hexdigest()
+        assert edges == TANGLED_EDGES_DIGEST
 
     @pytest.mark.parametrize("split", ["1.5", "-0.2", "0"])
     def test_learn_split_out_of_range(self, star_files, tmp_path, capsys, split):

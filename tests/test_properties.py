@@ -1,5 +1,7 @@
-"""Property tests: the mask-based F1 and conflict draw against set-based oracles."""
+"""Property tests: the mask-based F1, conflict draw and incremental grid search
+against direct oracles, and the stream sampler against a full ranking."""
 
+import math
 import random
 
 import numpy as np
@@ -8,12 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keyterrain.labels import AddressSet
-from keyterrain.learning import choose_conflict_port_pair
+from keyterrain.learning import _grid_f1s, choose_conflict_port_pair, grid_values
 from keyterrain.metrics import f1_from_counts, precision_recall_f1
-from keyterrain.pagerank import DampingTable
+from keyterrain.pagerank import DampingTable, adjusted_iteration, init_scores
 from keyterrain.streaming import StreamConfig, StreamState, run_stream, snapshot
 
-from instances import conflict_pair_by_index_set, ip_of, random_multigraph
+from instances import (
+    conflict_pair_by_index_set,
+    flow,
+    graph_of,
+    grid_f1s_by_full_recompute,
+    ip_of,
+    random_multigraph,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None)
 
@@ -72,3 +81,117 @@ def test_conflict_draw_matches_index_set_oracle(graph_seed, draw_seed, data):
         )
     # both paths consumed the generator identically
     assert by_mask.random() == by_set.random()
+
+
+GRID_FACTORS = (0.0, 0.5, 0.85, 1.0)
+GRID_PAIRS = ((22, 80), (80, 22), (443, 443))
+NON_FINITE = (math.inf, -math.inf, math.nan, 1e308)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    n=st.integers(min_value=2, max_value=10),
+    scores_kind=st.sampled_from(("uniform", "stepped", "random", "non-finite")),
+    symmetric_tie=st.booleans(),
+    data=st.data(),
+)
+def test_grid_f1s_match_full_recompute(n, scores_kind, symmetric_tie, data):
+    if symmetric_tie:
+        # A <-> B on one pair and nothing else: from equal scores both land on 1/n
+        edges = [(0, 1, GRID_PAIRS[0]), (1, 0, GRID_PAIRS[0])]
+    else:
+        vertex = st.integers(0, n - 1)
+        edges = data.draw(
+            st.lists(st.tuples(vertex, vertex, st.sampled_from(GRID_PAIRS)), min_size=1, max_size=40)
+        )
+        # a self-loop and a parallel edge on every such graph
+        edges += [(0, 0, edges[0][2]), edges[0]]
+    graph = graph_of([(ip_of(u), ip_of(v), pair) for u, v, pair in edges])
+    factor = st.sampled_from(GRID_FACTORS)
+    table = DampingTable({p: data.draw(factor) for p in graph.pairs}, data.draw(factor))
+
+    scores = init_scores(graph)
+    if scores_kind == "stepped":
+        for _ in range(data.draw(st.integers(1, 4))):
+            scores = adjusted_iteration(graph, scores, table)
+    elif scores_kind != "uniform":
+        unit = st.floats(-1.0, 1.0, allow_nan=False)
+        scores = np.array(data.draw(st.lists(unit, min_size=graph.n, max_size=graph.n)))
+        if scores_kind == "non-finite":
+            at = data.draw(st.integers(0, graph.n - 1))
+            scores[at] = data.draw(st.sampled_from(NON_FINITE))
+    label_mask = np.array(data.draw(st.lists(st.booleans(), min_size=graph.n, max_size=graph.n)))
+    pair = data.draw(st.sampled_from(graph.pairs))
+
+    grid = grid_values(0.05)
+    assert _grid_f1s(graph, scores, table, pair, label_mask, grid) == grid_f1s_by_full_recompute(
+        graph, scores, table, pair, label_mask, grid
+    )
+
+
+tied_masses = st.sampled_from((0.0, 1.0, 2.5))
+
+
+@PROPERTY_SETTINGS
+@given(
+    rank_mass=st.lists(masses | tied_masses, max_size=40),
+    top_k=st.integers(min_value=1, max_value=50),
+    all_equal=st.booleans(),
+)
+def test_sampled_top_k_is_the_snapshot_head(rank_mass, top_k, all_equal):
+    state = StreamState()
+    for i, mass in enumerate(rank_mass):
+        state.vertex_id(ip_of(i))
+        state.rank_mass[i] = 1.0 if all_equal else mass
+
+    sample = run_stream([], DampingTable(), StreamConfig(top_k=top_k), None, state)[-1]
+
+    scores, ranking = snapshot(state)
+    head = [(ip, float(scores[state.vertex_index[ip]])) for ip in ranking[:top_k]]
+    assert sample.top == head
+
+
+@PROPERTY_SETTINGS
+@given(
+    flows=st.lists(
+        st.tuples(
+            st.integers(0, 9),
+            st.integers(0, 9),
+            st.sampled_from(GRID_PAIRS),
+        ),
+        max_size=200,
+    ),
+    factors=st.lists(st.floats(0.0, 1.0) | st.sampled_from(GRID_FACTORS), min_size=4, max_size=4),
+    beta=st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_stream_masses_stay_non_negative(flows, factors, beta):
+    table = DampingTable(dict(zip(GRID_PAIRS, factors)), factors[-1])
+    records = [flow(ip_of(u), ip_of(v), *pair) for u, v, pair in flows]
+    state = StreamState()
+
+    run_stream(records, table, StreamConfig(beta=beta, sample_interval=7), None, state)
+
+    assert all(mass >= 0.0 for mass in state.rank_mass)
+    assert all(mass >= 0.0 for mass in state.active_mass)
+
+
+@PROPERTY_SETTINGS
+@given(
+    flows=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), min_size=1, max_size=150),
+    labeled=st.sets(st.integers(0, 30), max_size=10),
+    interval=st.integers(min_value=1, max_value=20),
+    top_k=st.integers(min_value=1, max_value=8),
+)
+def test_interval_samples_match_fresh_end_of_stream_samples(flows, labeled, interval, top_k):
+    # the label flags grow between samples; each sample must equal a run that
+    # stops at that point and builds them from scratch
+    records = [flow(ip_of(u), ip_of(v), 80, 443) for u, v in flows]
+    labels = AddressSet([ip_of(i) for i in labeled])
+    config = StreamConfig(sample_interval=interval, top_k=top_k)
+
+    samples = run_stream(records, DampingTable(), config, labels)
+
+    for sample in samples:
+        fresh = run_stream(records[: sample.flows_processed], DampingTable(),
+                           StreamConfig(top_k=top_k), labels)[-1]
+        assert (sample.top, sample.f1, sample.topk_tp) == (fresh.top, fresh.f1, fresh.topk_tp)
