@@ -71,9 +71,15 @@ def cmd_prepare(args) -> int:
     _print_config("prepare", settings)
     stats = ParseStats()
     with open(args.flows, encoding="utf-8", newline="") as src:
-        records = parse_flows(src, columns=columns, on_error=args.on_error, stats=stats)
-        stream = sort_flows(records, key=args.sort)
-        if args.dedupe:
+        stream = parse_flows(src, columns=columns, on_error=args.on_error, stats=stats)
+        # The dedupe key holds start_ts and the sort is stable, so on a start
+        # or no sort every key keeps the same first copy whichever runs first;
+        # deduping first leaves the sort only distinct rows. On an end sort the
+        # kept copy is the earliest-ending one, so the sort must come first.
+        if args.dedupe and args.sort != "end":
+            stream = dedupe_flows(stream)
+        stream = sort_flows(stream, key=args.sort)
+        if args.dedupe and args.sort == "end":
             stream = dedupe_flows(stream)
         out_path = Path(args.out)
         out_path.parent.mkdir(parents=True, exist_ok=True)

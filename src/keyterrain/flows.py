@@ -5,8 +5,10 @@ from __future__ import annotations
 import csv
 import heapq
 import ipaddress
+import pickle
 import tempfile
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
 CANONICAL_COLUMNS = ("start_ts", "end_ts", "src_ip", "dst_ip", "src_port", "dst_port")
@@ -27,7 +29,7 @@ class PortPair(NamedTuple):
     dst_port: int
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowRecord:
     """One directed IP flow. Timestamps are integral milliseconds since epoch.
 
@@ -77,15 +79,11 @@ class ParseStats:
 
 
 def _canonical_ip(text: str, cache: dict) -> str:
-    text = text.strip()
+    """Canonical form of an IP field, cached under the field's raw text."""
     try:
-        return cache[text]
-    except KeyError:
-        pass
-    try:
-        canonical = str(ipaddress.ip_address(text))
+        canonical = str(ipaddress.ip_address(text.strip()))
     except ValueError:
-        raise ValueError(f"bad IP address {text!r}") from None
+        raise ValueError(f"bad IP address {text.strip()!r}") from None
     cache[text] = canonical
     return canonical
 
@@ -155,26 +153,45 @@ def parse_flows(
 
     arity = len(header)
     ip_cache: dict[str, str] = {}
+    cached_ip = ip_cache.get
+    # An IP costs one lookup on its raw text once seen, a port or timestamp
+    # one plain int(). The helpers run only when that fails or a port is out
+    # of range, and they alone word every field error; FlowRecord checks
+    # start against end.
     for row in reader:
-        line_no = reader.line_num
         if stats is not None:
             stats.rows += 1
         try:
             if len(row) != arity:
                 raise ValueError(f"expected {arity} fields, got {len(row)}")
-            record = FlowRecord(
-                src_ip=_canonical_ip(row[i_src], ip_cache),
-                dst_ip=_canonical_ip(row[i_dst], ip_cache),
-                src_port=_parse_port(row[i_sport]),
-                dst_port=_parse_port(row[i_dport]),
-                start_ts=_parse_timestamp(row[i_start]),
-                end_ts=_parse_timestamp(row[i_end]),
-            )
+            src_ip = cached_ip(row[i_src]) or _canonical_ip(row[i_src], ip_cache)
+            dst_ip = cached_ip(row[i_dst]) or _canonical_ip(row[i_dst], ip_cache)
+            try:
+                src_port = int(row[i_sport])
+            except ValueError:
+                src_port = -1
+            if not 0 <= src_port <= 65535:
+                src_port = _parse_port(row[i_sport])
+            try:
+                dst_port = int(row[i_dport])
+            except ValueError:
+                dst_port = -1
+            if not 0 <= dst_port <= 65535:
+                dst_port = _parse_port(row[i_dport])
+            try:
+                start_ts = int(row[i_start])
+            except ValueError:
+                start_ts = _parse_timestamp(row[i_start])
+            try:
+                end_ts = int(row[i_end])
+            except ValueError:
+                end_ts = _parse_timestamp(row[i_end])
+            record = FlowRecord(src_ip, dst_ip, src_port, dst_port, start_ts, end_ts)
         except ValueError as exc:
             if on_error == "abort":
-                raise FlowParseError(line_no, str(exc)) from exc
+                raise FlowParseError(reader.line_num, str(exc)) from exc
             if stats is not None:
-                stats.record_error(line_no, str(exc))
+                stats.record_error(reader.line_num, str(exc))
             continue
         if stats is not None:
             stats.parsed += 1
@@ -194,20 +211,30 @@ def write_flows(records: Iterable[FlowRecord], out: IO[str]) -> int:
     return count
 
 
-def _spill_chunk(chunk: list[FlowRecord]) -> IO[str]:
-    spill = tempfile.TemporaryFile("w+", encoding="utf-8")
-    for rec in chunk:
-        spill.write(
-            f"{rec.start_ts},{rec.end_ts},{rec.src_ip},{rec.dst_ip},{rec.src_port},{rec.dst_port}\n"
-        )
+# Records per pickled batch of a spill run; a merge holds one batch per run.
+_SPILL_BATCH = 4096
+
+
+def _spill_run(chunk: list[FlowRecord], sort_key, run: int) -> IO[bytes]:
+    spill = tempfile.TemporaryFile()
+    for lo in range(0, len(chunk), _SPILL_BATCH):
+        batch = [
+            (sort_key(rec), run, rec.src_ip, rec.dst_ip, rec.src_port, rec.dst_port,
+             rec.start_ts, rec.end_ts)
+            for rec in chunk[lo : lo + _SPILL_BATCH]
+        ]
+        pickle.dump(batch, spill, pickle.HIGHEST_PROTOCOL)
     spill.seek(0)
     return spill
 
 
-def _read_spill(spill: IO[str]) -> Iterator[FlowRecord]:
-    for line in spill:
-        start, end, src, dst, sport, dport = line.rstrip("\n").split(",")
-        yield FlowRecord(src, dst, int(sport), int(dport), int(start), int(end))
+def _read_run(spill: IO[bytes]) -> Iterator[tuple]:
+    while True:
+        try:
+            batch = pickle.load(spill)
+        except EOFError:
+            return
+        yield from batch
 
 
 def sort_flows(
@@ -218,37 +245,38 @@ def sort_flows(
     """Stable sort by the chosen timestamp; key="none" passes input through unchanged.
 
     Inputs larger than ``chunk_size`` records are sorted in chunks spilled to
-    temporary files and merged back, so the full input never has to fit in
-    memory. Ties keep their original relative order in either path.
+    temporary files and merged back one batch per chunk at a time, so the
+    full input never has to fit in memory. Ties keep their original relative
+    order in either path.
     """
     if key == "none":
         yield from records
         return
     if key not in ("start", "end"):
         raise ValueError(f"sort key must be 'start', 'end' or 'none', got {key!r}")
-    attr = "start_ts" if key == "start" else "end_ts"
+    sort_key = attrgetter("start_ts" if key == "start" else "end_ts")
 
-    def sort_key(rec: FlowRecord) -> int:
-        return getattr(rec, attr)
-
-    spills: list[IO[str]] = []
+    spills: list[IO[bytes]] = []
     chunk: list[FlowRecord] = []
     try:
         for rec in records:
             chunk.append(rec)
             if len(chunk) >= chunk_size:
                 chunk.sort(key=sort_key)
-                spills.append(_spill_chunk(chunk))
+                spills.append(_spill_run(chunk, sort_key, len(spills)))
                 chunk = []
         chunk.sort(key=sort_key)
         if not spills:
             yield from chunk
             return
         if chunk:
-            spills.append(_spill_chunk(chunk))
-        # heapq.merge breaks ties in favor of earlier iterables, and chunks are
-        # spilled in input order, so the merge stays stable overall.
-        yield from heapq.merge(*(_read_spill(f) for f in spills), key=sort_key)
+            spills.append(_spill_run(chunk, sort_key, len(spills)))
+        del chunk
+        # Spilled rows lead with (sort key, run index) and runs are numbered in
+        # input order, so a plain tuple merge keeps ties in input order and
+        # never compares further fields.
+        for row in heapq.merge(*(_read_run(f) for f in spills)):
+            yield FlowRecord(*row[2:])
     finally:
         for spill in spills:
             spill.close()
@@ -258,7 +286,8 @@ def dedupe_flows(records: Iterable[FlowRecord]) -> Iterator[FlowRecord]:
     """Keep the first record per (src_ip, dst_ip, src_port, dst_port, start_ts).
 
     Used when preparing the learning graph only; the streaming phase consumes
-    every flow.
+    every flow. The set of seen keys is never trimmed, so memory grows with
+    the number of distinct keys (not with the number of records).
     """
     seen: set[tuple] = set()
     for rec in records:

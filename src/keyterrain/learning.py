@@ -134,9 +134,10 @@ def _grid_f1s(
     pair: PortPair,
     label_mask: np.ndarray,
     grid: list[float],
-) -> list[float]:
+) -> tuple[list[float], np.ndarray]:
     """F1 of each grid value for ``pair`` after one adjusted iteration from
-    ``scores``, bit for bit what a full ``adjusted_iteration`` per value gives.
+    ``scores``, bit for bit what a full ``adjusted_iteration`` per value gives,
+    and that iteration at the current table (``base``).
 
     Only the pair's edges change between trials. A vertex that none of them
     touches sums the same pushes in the same order in every trial, so its
@@ -188,7 +189,7 @@ def _grid_f1s(
         else:
             scored = adjusted_iteration(graph, scores, table.with_factor(pair, value))
         f1s.append(mask_f1(classify(scored), label_mask))
-    return f1s
+    return f1s, base
 
 
 def _hill_climb(
@@ -200,21 +201,24 @@ def _hill_climb(
     heuristic: str,
     current_f1: float,
     grid: list[float],
-) -> DampingTable:
-    trials = list(zip(grid, _grid_f1s(graph, scores, table, pair, label_mask, grid)))
-    best_f1 = max(f1 for _, f1 in trials)
-    allowable = [value for value, f1 in trials if f1 == best_f1]
+) -> tuple[DampingTable, np.ndarray]:
+    """The table to commit, and one adjusted iteration from ``scores`` at the
+    given ``table``; when that table is returned unchanged, the iteration is
+    exactly the commit pass."""
+    f1s, base = _grid_f1s(graph, scores, table, pair, label_mask, grid)
+    best_f1 = max(f1s)
+    allowable = [value for value, f1 in zip(grid, f1s) if f1 == best_f1]
 
     if best_f1 < current_f1:
         # only reachable when the current factor sits off-grid (random walk)
-        return table
+        return table, base
     improved = best_f1 > current_f1
 
     if heuristic == "maximum":
         committed = allowable[-1]
     elif heuristic == "minimum":
         if not improved:
-            return table
+            return table, base
         committed = allowable[0]
     elif heuristic == "average":
         committed = sum(allowable) / len(allowable)
@@ -227,7 +231,7 @@ def _hill_climb(
         else:
             pool = allowable + [table.lookup(pair)]
         committed = min(pool, key=lambda v: (abs(v - target), -v))
-    return table.with_factor(pair, committed)
+    return table.with_factor(pair, committed), base
 
 
 def hill_climb_step(
@@ -267,7 +271,7 @@ def hill_climb_step(
         heuristic,
         current_f1,
         grid_values(grid_step),
-    )
+    )[0]
 
 
 def learn(
@@ -306,12 +310,15 @@ def learn(
         pair = choose_conflict_port_pair(graph, misclassified, rng)
         if rng.random() > 1.0 - config.rw_probability:
             factors = random_walk_step(factors, pair, rng)
+            scores = adjusted_iteration(graph, scores, factors)
         else:
-            factors = _hill_climb(
+            kept = factors
+            factors, base = _hill_climb(
                 graph, scores, factors, pair, label_mask, config.heuristic, f1, grid
             )
+            # a kept table makes the commit pass the grid's own base pass
+            scores = base if factors is kept else adjusted_iteration(graph, scores, factors)
         iterations += 1
-        scores = adjusted_iteration(graph, scores, factors)
         f1, misclassified = _evaluate(scores, label_mask)
         trace.append(f1)
     if f1 > best_f1:

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import csv
+import ipaddress
 import random
 
 import numpy as np
 
-from keyterrain.flows import FlowRecord, PortPair
+from keyterrain.flows import (
+    CANONICAL_COLUMNS,
+    FlowParseError,
+    FlowRecord,
+    PortPair,
+    _parse_port,
+    _parse_timestamp,
+)
 from keyterrain.graph import StaticGraph, build_static_graph
 from keyterrain.labels import AddressSet
 from keyterrain.metrics import mask_f1
@@ -219,3 +228,66 @@ def grid_f1s_by_full_recompute(graph, scores, table, pair, label_mask, grid):
         )
         for value in grid
     ]
+
+
+def _canonical_ip_by_stripped_text(text: str, cache: dict) -> str:
+    text = text.strip()
+    try:
+        return cache[text]
+    except KeyError:
+        pass
+    try:
+        canonical = str(ipaddress.ip_address(text))
+    except ValueError:
+        raise ValueError(f"bad IP address {text!r}") from None
+    cache[text] = canonical
+    return canonical
+
+
+def parse_flows_by_helpers(lines, columns=None, on_error="abort", stats=None):
+    """The flow parser's row loop the direct way: every field through its
+    helper, the IP cache keyed on stripped text, the line number read on
+    every row."""
+    if on_error not in ("abort", "skip"):
+        raise ValueError(f"on_error must be 'abort' or 'skip', got {on_error!r}")
+    reader = csv.reader(lines)
+    try:
+        header = [name.strip() for name in next(reader)]
+    except StopIteration:
+        raise FlowParseError(1, "missing header row") from None
+    mapping = dict(columns or {})
+    positions = []
+    for semantic in CANONICAL_COLUMNS:
+        name = mapping.get(semantic, semantic)
+        try:
+            positions.append(header.index(name))
+        except ValueError:
+            raise FlowParseError(1, f"missing column {name!r}") from None
+    i_start, i_end, i_src, i_dst, i_sport, i_dport = positions
+
+    arity = len(header)
+    ip_cache: dict[str, str] = {}
+    for row in reader:
+        line_no = reader.line_num
+        if stats is not None:
+            stats.rows += 1
+        try:
+            if len(row) != arity:
+                raise ValueError(f"expected {arity} fields, got {len(row)}")
+            record = FlowRecord(
+                src_ip=_canonical_ip_by_stripped_text(row[i_src], ip_cache),
+                dst_ip=_canonical_ip_by_stripped_text(row[i_dst], ip_cache),
+                src_port=_parse_port(row[i_sport]),
+                dst_port=_parse_port(row[i_dport]),
+                start_ts=_parse_timestamp(row[i_start]),
+                end_ts=_parse_timestamp(row[i_end]),
+            )
+        except ValueError as exc:
+            if on_error == "abort":
+                raise FlowParseError(line_no, str(exc)) from exc
+            if stats is not None:
+                stats.record_error(line_no, str(exc))
+            continue
+        if stats is not None:
+            stats.parsed += 1
+        yield record

@@ -88,6 +88,21 @@ class TestPrepare:
         assert len(read_flow_file(out)) == 1
         assert "duplicates removed: 2" in capsys.readouterr().out
 
+    def test_end_sort_dedupe_keeps_earliest_ending_copy(self, tmp_path, capsys):
+        # the later-ending copy of the key comes first in the input; an end
+        # sort runs before the dedupe, so the earliest-ending copy survives
+        late = flow("10.0.0.1", "10.0.0.2", 1, 2, 5, 50)
+        other = flow("10.0.0.3", "10.0.0.4", 1, 2, 6, 30)
+        early = flow("10.0.0.1", "10.0.0.2", 1, 2, 5, 20)
+        src = tmp_path / "in.csv"
+        with open(src, "w", newline="") as fh:
+            write_flows([late, other, early], fh)
+        out = tmp_path / "out.csv"
+        args = ["prepare", "--flows", str(src), "--out", str(out), "--sort", "end", "--dedupe"]
+        assert main(args) == 0
+        assert read_flow_file(out) == [early, other]
+        assert "duplicates removed: 1" in capsys.readouterr().out
+
     def test_idempotent(self, tmp_path):
         records = [
             flow("10.0.0.1", "10.0.0.2", 1, 2, 7, 9),
