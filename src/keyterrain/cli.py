@@ -102,15 +102,16 @@ def _build_learning_graph(args):
         raise ValueError(f"--learn-split must be in (0, 1], got {args.learn_split}")
     with open(args.flows, encoding="utf-8", newline="") as fh:
         records = list(parse_flows(fh))
-    prefix = int(len(records) * args.learn_split)
-    learning_records = list(dedupe_flows(records[:prefix]))
-    census = count_port_pairs(learning_records)
-    retained = filter_port_pairs(census, args.pair_fraction)
-    graph = build_static_graph(learning_records, retained)
+    total = len(records)
+    prefix = int(total * args.learn_split)
+    del records[prefix:]
+    records = list(dedupe_flows(records))
+    retained = filter_port_pairs(count_port_pairs(records), args.pair_fraction)
+    graph = build_static_graph(records, retained)
     info = {
-        "flows_total": len(records),
+        "flows_total": total,
         "flows_learning": prefix,
-        "flows_after_dedupe": len(learning_records),
+        "flows_after_dedupe": len(records),
         "retained_pairs": len(retained),
         "vertices": graph.n,
         "edges": graph.edge_count,

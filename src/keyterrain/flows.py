@@ -151,6 +151,8 @@ def parse_flows(
             raise FlowParseError(1, f"missing column {name!r}") from None
     i_start, i_end, i_src, i_dst, i_sport, i_dport = positions
 
+    if stats is None:
+        stats = ParseStats()
     arity = len(header)
     ip_cache: dict[str, str] = {}
     cached_ip = ip_cache.get
@@ -159,8 +161,7 @@ def parse_flows(
     # of range, and they alone word every field error; FlowRecord checks
     # start against end.
     for row in reader:
-        if stats is not None:
-            stats.rows += 1
+        stats.rows += 1
         try:
             if len(row) != arity:
                 raise ValueError(f"expected {arity} fields, got {len(row)}")
@@ -190,11 +191,9 @@ def parse_flows(
         except ValueError as exc:
             if on_error == "abort":
                 raise FlowParseError(reader.line_num, str(exc)) from exc
-            if stats is not None:
-                stats.record_error(reader.line_num, str(exc))
+            stats.record_error(reader.line_num, str(exc))
             continue
-        if stats is not None:
-            stats.parsed += 1
+        stats.parsed += 1
         yield record
 
 

@@ -23,12 +23,10 @@ class PortPairCensus:
 
 def count_port_pairs(records: Iterable[FlowRecord]) -> PortPairCensus:
     """Tally every record's port pair; total_flows is the record count."""
-    counts: Counter = Counter()
-    total = 0
-    for rec in records:
-        counts[rec.port_pair()] += 1
-        total += 1
-    return PortPairCensus(dict(counts), total)
+    counts = Counter((rec.src_port, rec.dst_port) for rec in records)
+    return PortPairCensus(
+        {PortPair(*pair): count for pair, count in counts.items()}, sum(counts.values())
+    )
 
 
 def filter_port_pairs(census: PortPairCensus, fraction: float) -> set[PortPair]:
@@ -42,7 +40,8 @@ def filter_port_pairs(census: PortPairCensus, fraction: float) -> set[PortPair]:
 class StaticGraph:
     """Directed multigraph over IP addresses with a port pair on every edge.
 
-    Vertices are indexed by first appearance in the edge stream. Parallel
+    ``edges`` holds one ``(src_vertex, dst_vertex, src_port, dst_port)`` row
+    per edge, and vertex ``i`` is the ``i``-th IP of ``vertices``. Parallel
     edges and self-loops are kept and each one counts toward its source's
     out-degree. Edges are stored sorted by (source, destination, pair) so
     that per-vertex sums accumulate in ascending source order, which keeps
@@ -51,12 +50,10 @@ class StaticGraph:
     Instances are immutable after construction and safe to share.
     """
 
-    def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[int, int, PortPair]]):
+    def __init__(self, vertices: Iterable[str], edges: list[tuple[int, int, int, int]]):
         self.vertices: list[str] = list(vertices)
         self.vertex_index: dict[str, int] = {ip: i for i, ip in enumerate(self.vertices)}
-        columns = np.array(
-            [(s, d, p[0], p[1]) for s, d, p in edges], dtype=np.int64
-        ).reshape(-1, 4)
+        columns = np.array(edges, dtype=np.int64).reshape(-1, 4)
         src, dst = columns[:, 0], columns[:, 1]
         # ports are 16-bit, so this key orders pairs as (src_port, dst_port) does
         pair_key = (columns[:, 2] << 16) | columns[:, 3]
@@ -91,27 +88,19 @@ def build_static_graph(
     incident to surviving edges; an empty surviving edge set is an error
     because nothing could be learned from it.
     """
-    vertex_index: dict[str, int] = {}
-    vertices: list[str] = []
-    triples: list[tuple[int, int, PortPair]] = []
+    ids: dict[str, int] = {}
+    rows: list[tuple[int, int, int, int]] = []
     for rec in records:
-        pair = rec.port_pair()
-        if pair not in retained:
-            continue
-        src = vertex_index.get(rec.src_ip)
-        if src is None:
-            src = vertex_index[rec.src_ip] = len(vertices)
-            vertices.append(rec.src_ip)
-        dst = vertex_index.get(rec.dst_ip)
-        if dst is None:
-            dst = vertex_index[rec.dst_ip] = len(vertices)
-            vertices.append(rec.dst_ip)
-        triples.append((src, dst, pair))
-    if not triples:
+        # a PortPair hashes and compares as its plain tuple
+        if (rec.src_port, rec.dst_port) in retained:
+            src = ids.setdefault(rec.src_ip, len(ids))
+            dst = ids.setdefault(rec.dst_ip, len(ids))
+            rows.append((src, dst, rec.src_port, rec.dst_port))
+    if not rows:
         raise GraphBuildError(
             "no flows carry a retained port pair; the learning graph would be empty"
         )
-    return StaticGraph(vertices, triples)
+    return StaticGraph(ids, rows)
 
 
 def write_edge_list(graph: StaticGraph, out: IO[str]) -> None:

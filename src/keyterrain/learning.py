@@ -281,9 +281,9 @@ def learn(
 
     Every retained pair starts at the default factor. After the first
     committed iteration the loop runs while F1 differs from 1 and the
-    iteration counter has not passed max_iterations: record the best state,
-    draw a conflict pair, mutate its factor by random walk (with probability
-    rw_probability) or hill climbing, then commit one adjusted iteration.
+    iteration counter has not passed max_iterations: draw a conflict pair,
+    mutate its factor by random walk (with probability rw_probability) or
+    hill climbing, commit one adjusted iteration, and record the best state.
     One seeded generator drives the conflict draw, the random-walk coin, and
     the random-walk value, in that order, so identical inputs give identical
     results.
@@ -305,8 +305,6 @@ def learn(
 
     iterations = 0
     while f1 != 1.0 and iterations <= config.max_iterations:
-        if f1 > best_f1:
-            best_f1, best_factors = f1, factors.copy()
         pair = choose_conflict_port_pair(graph, misclassified, rng)
         if rng.random() > 1.0 - config.rw_probability:
             factors = random_walk_step(factors, pair, rng)
@@ -321,6 +319,6 @@ def learn(
         iterations += 1
         f1, misclassified = _evaluate(scores, label_mask)
         trace.append(f1)
-    if f1 > best_f1:
-        best_f1, best_factors = f1, factors.copy()
+        if f1 > best_f1:
+            best_f1, best_factors = f1, factors.copy()
     return LearnResult(best_f1, best_factors, iterations, trace)

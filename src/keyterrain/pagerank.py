@@ -162,8 +162,10 @@ def adjusted_iteration(
 def _converge(graph: StaticGraph, step, tolerance: float, max_iters: int) -> ConvergenceResult:
     """The one convergence loop: apply ``step`` from the uniform vector until
     the L1 change drops below ``tolerance`` or ``max_iters`` is reached."""
-    if tolerance <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tolerance < np.inf:  # also false for nan
+        raise ValueError(f"tolerance must be a finite positive number, got {tolerance}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be non-negative, got {max_iters}")
     scores = init_scores(graph)
     for i in range(1, max_iters + 1):
         nxt = step(scores)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import ipaddress
 import random
+from collections import Counter
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from keyterrain.flows import (
     _parse_port,
     _parse_timestamp,
 )
-from keyterrain.graph import StaticGraph, build_static_graph
+from keyterrain.graph import GraphBuildError, StaticGraph, build_static_graph
 from keyterrain.labels import AddressSet
 from keyterrain.metrics import mask_f1
 from keyterrain.pagerank import DampingTable, adjusted_iteration, classify
@@ -291,3 +292,59 @@ def parse_flows_by_helpers(lines, columns=None, on_error="abort", stats=None):
         if stats is not None:
             stats.parsed += 1
         yield record
+
+
+def count_port_pairs_by_records(records):
+    """Port-pair census the direct way: one PortPair per record, counted one
+    at a time. Returns (counts, total_flows)."""
+    counts = Counter()
+    total = 0
+    for rec in records:
+        counts[rec.port_pair()] += 1
+        total += 1
+    return dict(counts), total
+
+
+def static_graph_by_triples(records, retained):
+    """The learning graph the direct way, as plain lists.
+
+    A vertex dict plus a parallel vertex list number the IPs, surviving
+    records become (src, dst, PortPair) triples, and the stored edge order is
+    a Python sort of those triples. Returns a dict with the graph's vertex,
+    pair, edge-column and out-degree lists and the edge-list text.
+    """
+    vertex_index: dict[str, int] = {}
+    vertices: list[str] = []
+    triples = []
+    for rec in records:
+        pair = rec.port_pair()
+        if pair not in retained:
+            continue
+        src = vertex_index.get(rec.src_ip)
+        if src is None:
+            src = vertex_index[rec.src_ip] = len(vertices)
+            vertices.append(rec.src_ip)
+        dst = vertex_index.get(rec.dst_ip)
+        if dst is None:
+            dst = vertex_index[rec.dst_ip] = len(vertices)
+            vertices.append(rec.dst_ip)
+        triples.append((src, dst, pair))
+    if not triples:
+        raise GraphBuildError("no flows carry a retained port pair")
+    triples.sort()
+    pairs = sorted({pair for _, _, pair in triples})
+    out_degree = [0] * len(vertices)
+    for src, _, _ in triples:
+        out_degree[src] += 1
+    return {
+        "vertices": vertices,
+        "vertex_index": vertex_index,
+        "pairs": pairs,
+        "edge_src": [s for s, _, _ in triples],
+        "edge_dst": [d for _, d, _ in triples],
+        "edge_pair_id": [pairs.index(p) for _, _, p in triples],
+        "out_degree": out_degree,
+        "edge_list": "".join(
+            f"{vertices[s]},{vertices[d]},{p[0]},{p[1]}\n" for s, d, p in triples
+        ),
+    }

@@ -390,6 +390,84 @@ class TestBaseline:
         assert not (tmp_path / "base").exists()
 
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--max-iterations", "-5", "max_iters must be non-negative"),
+            ("--tolerance", "inf", "tolerance must be a finite positive number"),
+            ("--tolerance", "nan", "tolerance must be a finite positive number"),
+            ("--tolerance", "0", "tolerance must be a finite positive number"),
+        ],
+    )
+    def test_meaningless_stop_rule_rejected(
+        self, star_files, tmp_path, capsys, option, value, message
+    ):
+        flows_path, labels_path = star_files
+        out_dir = tmp_path / "base"
+        code = main(
+            [
+                "baseline", "--flows", str(flows_path), "--labels", str(labels_path),
+                "--pair-fraction", "0.01", "--learn-split", "1.0",
+                option, value, "--out", str(out_dir),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (out_dir / "baseline.json").exists()
+
+
+@pytest.fixture
+def split_files(tmp_path):
+    """Ten flows split 5/5: two of the first five repeat an earlier key, and
+    the last five, on other hosts, fall outside the learning prefix."""
+    records = [
+        flow("10.0.0.1", "10.0.0.2", 5000, 80, 0, 1),
+        flow("10.0.0.1", "10.0.0.2", 5000, 80, 0, 5),  # re-export, later end
+        flow("10.0.0.2", "10.0.0.3", 5001, 443, 1),
+        flow("10.0.0.2", "10.0.0.3", 5001, 443, 1),  # exact copy
+        flow("10.0.0.3", "10.0.0.1", 5002, 22, 2),
+    ] + [flow(f"10.0.9.{i}", "10.0.9.99", 6000 + i, 53, 3 + i) for i in range(5)]
+    flows_path = tmp_path / "flows.csv"
+    with open(flows_path, "w", newline="") as fh:
+        write_flows(records, fh)
+    labels_path = tmp_path / "labels.txt"
+    labels_path.write_text("10.0.0.1\n")
+    return flows_path, labels_path
+
+
+SPLIT_GRAPH = {
+    "flows_total": 10,
+    "flows_learning": 5,
+    "flows_after_dedupe": 3,
+    "retained_pairs": 3,
+    "vertices": 3,
+    "edges": 3,
+}
+
+
+def test_learn_reports_split_counts(split_files, tmp_path):
+    flows_path, labels_path = split_files
+    args = learn_args(flows_path, labels_path, tmp_path / "out", max_iterations=5)
+    args[args.index("--learn-split") + 1] = "0.5"
+    assert main(args) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["graph"] == SPLIT_GRAPH
+
+
+def test_baseline_reports_split_counts(split_files, tmp_path):
+    flows_path, labels_path = split_files
+    out_dir = tmp_path / "base"
+    assert main(
+        [
+            "baseline", "--flows", str(flows_path), "--labels", str(labels_path),
+            "--pair-fraction", "0.01", "--learn-split", "0.5", "--out", str(out_dir),
+        ]
+    ) == 0
+    payload = json.loads((out_dir / "baseline.json").read_text())
+    assert payload["graph"] == SPLIT_GRAPH
+
+
 def test_help_lists_commands(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--help"])

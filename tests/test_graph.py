@@ -4,7 +4,10 @@ import io
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from keyterrain.flows import PortPair
 from keyterrain.graph import (
@@ -16,7 +19,13 @@ from keyterrain.graph import (
     write_edge_list,
 )
 
-from instances import flow, graph_of, random_multigraph
+from instances import (
+    count_port_pairs_by_records,
+    flow,
+    graph_of,
+    random_multigraph,
+    static_graph_by_triples,
+)
 
 
 class TestCensus:
@@ -154,3 +163,59 @@ def test_edge_list_dump():
     assert "10.0.0.1,10.0.0.2,5,6" in lines
     assert "10.0.0.2,10.0.0.1,443,50000" in lines
     assert len(lines) == 2
+
+
+# Few IPs and ports, so self-loops, parallel edges, reversed pairs such as
+# (80, 443) / (443, 80) and IPs on both ends of edges are all common.
+ORACLE_IPS = ("10.0.0.1", "10.0.0.2", "10.0.0.3", "2001:db8::1")
+ORACLE_PORTS = (22, 80, 443)
+ORACLE_PAIRS = [PortPair(a, b) for a in ORACLE_PORTS for b in ORACLE_PORTS]
+oracle_records = st.lists(
+    st.builds(
+        flow,
+        st.sampled_from(ORACLE_IPS),
+        st.sampled_from(ORACLE_IPS),
+        st.sampled_from(ORACLE_PORTS),
+        st.sampled_from(ORACLE_PORTS),
+        st.integers(0, 3),
+    ),
+    max_size=40,
+)
+MIXED_RECORDS = [
+    flow("10.0.0.1", "10.0.0.1", 80, 443, 0),  # self-loop
+    flow("10.0.0.2", "10.0.0.1", 443, 80, 1),  # reversed pair; 10.0.0.1 now both ends
+    flow("10.0.0.1", "10.0.0.2", 80, 443, 2),
+    flow("10.0.0.1", "10.0.0.2", 80, 443, 3),  # parallel edge
+    flow("10.0.0.3", "10.0.0.2", 22, 22, 4),  # unretained below
+]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(records=oracle_records, retained=st.sets(st.sampled_from(ORACLE_PAIRS)))
+@example(records=MIXED_RECORDS, retained={PortPair(80, 443), PortPair(443, 80)})
+@example(records=MIXED_RECORDS, retained=set())
+def test_census_and_build_match_triple_oracle(records, retained):
+    counts, total = count_port_pairs_by_records(records)
+    census = count_port_pairs(records)
+    assert list(census.counts.items()) == list(counts.items())
+    assert all(type(pair) is PortPair for pair in census.counts)
+    assert census.total_flows == total
+
+    try:
+        expected = static_graph_by_triples(records, retained)
+    except GraphBuildError:
+        with pytest.raises(GraphBuildError):
+            build_static_graph(records, retained)
+        return
+    graph = build_static_graph(records, retained)
+    assert graph.vertices == expected["vertices"]
+    assert graph.vertex_index == expected["vertex_index"]
+    assert graph.pairs == expected["pairs"]
+    assert all(type(pair) is PortPair for pair in graph.pairs)
+    for name in ("edge_src", "edge_dst", "edge_pair_id", "out_degree"):
+        column = getattr(graph, name)
+        assert column.dtype == np.int64
+        assert column.tolist() == expected[name], name
+    buf = io.StringIO()
+    write_edge_list(graph, buf)
+    assert buf.getvalue() == expected["edge_list"]

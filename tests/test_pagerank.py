@@ -217,6 +217,12 @@ class TestAdjustedIteration:
         assert out[a] == pytest.approx(0.5 - 0.4 * 0.5, abs=1e-12)
 
 
+def drive(driver, graph, **kwargs):
+    if driver == "default":
+        return run_to_convergence(graph, 0.85, **kwargs)
+    return run_adjusted_to_convergence(graph, DampingTable(), **kwargs)
+
+
 class TestConvergence:
     def test_two_cycle_one_check(self):
         result = run_to_convergence(two_cycle(), 0.85)
@@ -260,6 +266,24 @@ class TestConvergence:
     def test_tolerance_must_be_positive(self):
         with pytest.raises(ValueError):
             run_to_convergence(two_cycle(), 0.85, tolerance=0.0)
+
+    @pytest.mark.parametrize("tolerance", [-1e-9, float("inf"), float("nan")])
+    @pytest.mark.parametrize("driver", ["default", "adjusted"])
+    def test_tolerance_must_be_finite_and_positive(self, driver, tolerance):
+        with pytest.raises(ValueError, match="tolerance must be a finite positive number"):
+            drive(driver, three_vertex(), tolerance=tolerance)
+
+    @pytest.mark.parametrize("driver", ["default", "adjusted"])
+    def test_negative_max_iters_rejected(self, driver):
+        with pytest.raises(ValueError, match="max_iters must be non-negative"):
+            drive(driver, three_vertex(), max_iters=-5)
+
+    @pytest.mark.parametrize("driver", ["default", "adjusted"])
+    def test_zero_max_iters_returns_uniform_start(self, driver):
+        result = drive(driver, three_vertex(), max_iters=0)
+        assert not result.converged
+        assert result.iterations == 0
+        assert result.scores.tolist() == [1 / 3] * 3
 
 
 class TestClassify:
