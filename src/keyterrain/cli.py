@@ -17,6 +17,8 @@ from .metrics import write_run_summary
 from .pagerank import (
     DEFAULT_DAMPING,
     DampingTable,
+    check_damping,
+    check_stop_rule,
     load_damping_table,
     run_adjusted_to_convergence,
     run_to_convergence,
@@ -135,6 +137,13 @@ def cmd_learn(args) -> int:
         "seed": seed,
     }
     _print_config("learn", settings)
+    config = LearnConfig(
+        max_iterations=args.max_iterations,
+        rw_probability=args.rw_probability,
+        heuristic=heuristic,
+        grid_step=args.grid_step,
+        seed=seed,
+    )
     labels = AddressSet.from_file(args.labels)
     if not labels:
         raise ValueError(f"labels file {args.labels} has no entries")
@@ -149,13 +158,6 @@ def cmd_learn(args) -> int:
         f"{info['flows_after_dedupe']} after dedupe) in {prep_elapsed:.2f} s"
     )
 
-    config = LearnConfig(
-        max_iterations=args.max_iterations,
-        rw_probability=args.rw_probability,
-        heuristic=heuristic,
-        grid_step=args.grid_step,
-        seed=seed,
-    )
     started = time.perf_counter()
     result = learn(graph, labels, config)
     learn_elapsed = time.perf_counter() - started
@@ -272,6 +274,9 @@ def cmd_baseline(args) -> int:
         "max_iterations": args.max_iterations,
     }
     _print_config("baseline", settings)
+    check_stop_rule(args.tolerance, args.max_iterations)
+    check_damping(args.damping)
+    uniform = DampingTable({}, default_factor=args.damping)
     labels = AddressSet.from_file(args.labels)
     if not labels:
         raise ValueError(f"labels file {args.labels} has no entries")
@@ -282,7 +287,6 @@ def cmd_baseline(args) -> int:
         graph, damping=args.damping, tolerance=args.tolerance, max_iters=args.max_iterations
     )
     classic_f1, _ = evaluate_classification(classic.scores, graph, labels)
-    uniform = DampingTable({}, default_factor=args.damping)
     adjusted = run_adjusted_to_convergence(
         graph, uniform, tolerance=args.tolerance, max_iters=args.max_iterations
     )

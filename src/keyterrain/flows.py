@@ -9,6 +9,7 @@ import pickle
 import tempfile
 from dataclasses import dataclass, field
 from operator import attrgetter
+from socket import AF_INET, inet_ntop, inet_pton
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
 CANONICAL_COLUMNS = ("start_ts", "end_ts", "src_ip", "dst_ip", "src_port", "dst_port")
@@ -78,8 +79,31 @@ class ParseStats:
             self.errors.append((line_no, message))
 
 
+def packed_ipv4(text) -> bytes | None:
+    """The packed address when ``text`` is canonical dotted-quad IPv4 text,
+    else None (also for a value that is not a str).
+
+    Canonical means the inet_pton/inet_ntop round trip gives ``text`` back:
+    four plain decimal octets, no leading zeros, no padding. That is exactly
+    the IPv4 text ``ipaddress`` maps to itself, so such text needs no
+    ``ipaddress`` call; every other spelling must go through ``ipaddress``.
+    """
+    try:
+        packed = inet_pton(AF_INET, text)
+    except (OSError, ValueError, TypeError):  # ValueError: embedded NUL
+        return None
+    return packed if inet_ntop(AF_INET, packed) == text else None
+
+
 def _canonical_ip(text: str, cache: dict) -> str:
-    """Canonical form of an IP field, cached under the field's raw text."""
+    """Canonical form of an IP field, cached under the field's raw text.
+
+    Canonical IPv4 text is its own canonical form; ``ipaddress`` alone
+    canonicalizes (and words the error for) everything else.
+    """
+    if packed_ipv4(text) is not None:
+        cache[text] = text
+        return text
     try:
         canonical = str(ipaddress.ip_address(text.strip()))
     except ValueError:

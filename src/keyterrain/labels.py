@@ -7,6 +7,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .flows import packed_ipv4
+
 
 class AddressSet:
     """A set of IP addresses and/or CIDR prefixes.
@@ -14,6 +16,13 @@ class AddressSet:
     Membership covers both exact addresses and prefix containment. Lookups
     are cached per queried string, so repeated evaluation over the same
     vertex universe stays cheap.
+
+    A query in canonical dotted-quad IPv4 text (see ``flows.packed_ipv4``)
+    skips text parsing: it is its own canonical form, so it is looked up in
+    the exact addresses as is, and its address for the prefix test is built
+    from the packed bytes. Every other query (IPv6, padded or leading-zero
+    text, an int) is parsed by ``ipaddress`` and gets its answer, or its
+    exception, from there.
     """
 
     def __init__(self, entries: Iterable[str]):
@@ -34,8 +43,14 @@ class AddressSet:
             return self._cache[ip]
         except KeyError:
             pass
-        addr = ipaddress.ip_address(ip)
-        result = str(addr) in self.addresses or any(addr in net for net in self.networks)
+        packed = packed_ipv4(ip)
+        if packed is None:
+            addr = ipaddress.ip_address(ip)
+            key = str(addr)
+        else:
+            addr = ipaddress.IPv4Address(packed)
+            key = ip
+        result = key in self.addresses or any(addr in net for net in self.networks)
         self._cache[ip] = result
         return result
 

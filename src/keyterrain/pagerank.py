@@ -115,14 +115,19 @@ def _check_prev(graph: StaticGraph, prev: np.ndarray) -> np.ndarray:
     return prev
 
 
+def check_damping(damping: float) -> None:
+    """Reject a shared damping factor outside [0, 1]."""
+    if not 0.0 <= damping <= 1.0:
+        raise ValueError(f"damping out of [0, 1]: {damping}")
+
+
 def default_iteration(graph: StaticGraph, prev: np.ndarray, damping: float) -> np.ndarray:
     """One step of the classic iteration with a single shared damping factor.
 
     Dangling vertices contribute nothing, so total mass may drop below one;
     no teleport redistribution is applied.
     """
-    if not 0.0 <= damping <= 1.0:
-        raise ValueError(f"damping out of [0, 1]: {damping}")
+    check_damping(damping)
     prev = _check_prev(graph, prev)
     per_edge = prev[graph.edge_src] / graph.out_degree[graph.edge_src]
     incoming = np.bincount(graph.edge_dst, weights=per_edge, minlength=graph.n)
@@ -150,22 +155,31 @@ def adjusted_iteration(
     simply surrender nothing). Scores may legitimately go negative and are
     never clamped; clamping would break that cancellation.
     """
-    prev = _check_prev(graph, prev)
+    return _adjusted_step(graph, _check_prev(graph, prev), edge_factor_values(graph, table))
+
+
+def _adjusted_step(graph: StaticGraph, prev: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """``adjusted_iteration`` with the per-edge factors already resolved."""
     n = graph.n
-    factors = edge_factor_values(graph, table)
     push = factors * prev[graph.edge_src] / graph.out_degree[graph.edge_src]
     incoming = np.bincount(graph.edge_dst, weights=push, minlength=n)
     surrendered = np.bincount(graph.edge_src, weights=push, minlength=n)
     return 1.0 / n - surrendered + incoming
 
 
-def _converge(graph: StaticGraph, step, tolerance: float, max_iters: int) -> ConvergenceResult:
-    """The one convergence loop: apply ``step`` from the uniform vector until
-    the L1 change drops below ``tolerance`` or ``max_iters`` is reached."""
+def check_stop_rule(tolerance: float, max_iters: int) -> None:
+    """Reject a stop rule that cannot mean anything: a tolerance that is not
+    a finite positive number, or a negative iteration cap."""
     if not 0.0 < tolerance < np.inf:  # also false for nan
         raise ValueError(f"tolerance must be a finite positive number, got {tolerance}")
     if max_iters < 0:
         raise ValueError(f"max_iters must be non-negative, got {max_iters}")
+
+
+def _converge(graph: StaticGraph, step, tolerance: float, max_iters: int) -> ConvergenceResult:
+    """The one convergence loop: apply ``step`` from the uniform vector until
+    the L1 change drops below ``tolerance`` or ``max_iters`` is reached."""
+    check_stop_rule(tolerance, max_iters)
     scores = init_scores(graph)
     for i in range(1, max_iters + 1):
         nxt = step(scores)
@@ -198,9 +212,13 @@ def run_adjusted_to_convergence(
     tolerance: float = 1e-9,
     max_iters: int = 100,
 ) -> ConvergenceResult:
-    """Convergence driver for the per-edge-factor iteration (same stop rule)."""
+    """Convergence driver for the per-edge-factor iteration (same stop rule).
+
+    The table is resolved to per-edge factors once for the whole run.
+    """
+    factors = edge_factor_values(graph, table)
     return _converge(
-        graph, lambda prev: adjusted_iteration(graph, prev, table), tolerance, max_iters
+        graph, lambda prev: _adjusted_step(graph, prev, factors), tolerance, max_iters
     )
 
 

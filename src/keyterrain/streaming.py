@@ -128,17 +128,19 @@ def _take_sample(
     state: StreamState,
     config: StreamConfig,
     labels: AddressSet | None,
-    label_flags: list[bool],
+    label_flags: bytearray,
 ) -> SamplePoint:
     """``label_flags`` holds the label membership of the vertices registered
-    by the previous sample and is extended over the ones registered since."""
+    by the previous sample, one 0/1 byte each, and is extended over the ones
+    registered since. It is read through a zero-copy view that must not
+    outlive the sample: a bytearray with a live view cannot grow."""
     scores = _normalized_scores(state)
     top = [(state.vertices[i], float(scores[i])) for i in _top_indices(scores, config.top_k)]
     f1 = None
     topk_tp = None
     if labels is not None:
         label_flags.extend(ip in labels for ip in state.vertices[len(label_flags):])
-        f1 = mask_f1(classify(scores), np.array(label_flags, dtype=bool)) if state.n else 0.0
+        f1 = mask_f1(classify(scores), np.frombuffer(label_flags, dtype=bool)) if state.n else 0.0
         topk_tp = topk_true_positives([ip for ip, _ in top], labels, config.top_k)[0]
     return SamplePoint(state.flows_processed, state.n, top, f1, topk_tp)
 
@@ -161,7 +163,7 @@ def run_stream(
     state = state if state is not None else StreamState()
     interval = config.sample_interval
     samples = []
-    label_flags: list[bool] = []
+    label_flags = bytearray()
     for flow in flows:
         stream_update(state, flow, table, config.beta)
         if interval and state.flows_processed % interval == 0:

@@ -348,3 +348,25 @@ def static_graph_by_triples(records, retained):
             f"{vertices[s]},{vertices[d]},{p[0]},{p[1]}\n" for s, d, p in triples
         ),
     }
+
+
+class AddressSetByIpaddress:
+    """AddressSet membership the direct way: entries parsed as AddressSet
+    parses them, and every query through ``ipaddress``, uncached, tested
+    against each exact address and then each prefix in turn."""
+
+    def __init__(self, entries):
+        self.addresses = set()
+        self.networks = []
+        for raw in entries:
+            entry = raw.strip()
+            if not entry:
+                continue
+            try:
+                self.addresses.add(str(ipaddress.ip_address(entry)))
+            except ValueError:
+                self.networks.append(ipaddress.ip_network(entry, strict=False))
+
+    def __contains__(self, ip) -> bool:
+        addr = ipaddress.ip_address(ip)
+        return str(addr) in self.addresses or any(addr in net for net in self.networks)

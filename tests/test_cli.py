@@ -251,6 +251,26 @@ class TestLearn:
         assert err.startswith("error: --learn-split must be in (0, 1]")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("grid_step", "0", "grid_step out of (0, 1]: 0.0"),
+            ("rw_probability", "2", "rw_probability out of [0, 1]: 2.0"),
+            ("max_iterations", "-1", "max_iterations must be non-negative"),
+        ],
+    )
+    def test_bad_option_rejected_before_flows_are_read(
+        self, star_files, tmp_path, capsys, option, value, message
+    ):
+        _, labels_path = star_files
+        args = learn_args(
+            tmp_path / "absent.csv", labels_path, tmp_path / "out", **{option: value}
+        )
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestStream:
     def test_default_factors_run(self, star_files, tmp_path):
@@ -415,6 +435,29 @@ class TestBaseline:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not (out_dir / "baseline.json").exists()
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--tolerance", "nan", "tolerance must be a finite positive number, got nan"),
+            ("--max-iterations", "-5", "max_iters must be non-negative, got -5"),
+            ("--damping", "1.5", "damping out of [0, 1]: 1.5"),
+        ],
+    )
+    def test_bad_option_rejected_before_flows_are_read(
+        self, star_files, tmp_path, capsys, option, value, message
+    ):
+        _, labels_path = star_files
+        code = main(
+            [
+                "baseline", "--flows", str(tmp_path / "absent.csv"),
+                "--labels", str(labels_path), "--pair-fraction", "0.01",
+                option, value, "--out", str(tmp_path / "base"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "base").exists()
 
 
 @pytest.fixture

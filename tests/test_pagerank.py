@@ -278,6 +278,26 @@ class TestConvergence:
         with pytest.raises(ValueError, match="max_iters must be non-negative"):
             drive(driver, three_vertex(), max_iters=-5)
 
+    def test_adjusted_driver_steps_like_adjusted_iteration(self):
+        # the driver resolves the table once per run; every step must still
+        # be bit for bit one adjusted_iteration, and stop at the same step
+        rng = random.Random(5)
+        for _ in range(20):
+            graph = random_multigraph(rng, max_n=12, max_edges=40)
+            table = random_damping_table(rng, graph)
+            tolerance = rng.choice([1e-3, 1e-9, 1e-15])
+            result = run_adjusted_to_convergence(graph, table, tolerance, max_iters=60)
+            scores = init_scores(graph)
+            for i in range(1, 61):
+                nxt = adjusted_iteration(graph, scores, table)
+                delta = float(np.sum(np.abs(nxt - scores)))
+                scores = nxt
+                if delta < tolerance:
+                    break
+            assert result.iterations == i
+            assert result.converged == (delta < tolerance)
+            assert result.scores.tobytes() == scores.tobytes()
+
     @pytest.mark.parametrize("driver", ["default", "adjusted"])
     def test_zero_max_iters_returns_uniform_start(self, driver):
         result = drive(driver, three_vertex(), max_iters=0)
