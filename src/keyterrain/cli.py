@@ -10,7 +10,13 @@ import time
 from pathlib import Path
 
 from .flows import ParseStats, dedupe_flows, parse_flows, sort_flows, write_flows
-from .graph import build_static_graph, count_port_pairs, filter_port_pairs, write_edge_list
+from .graph import (
+    build_static_graph,
+    check_fraction,
+    count_port_pairs,
+    filter_port_pairs,
+    write_edge_list,
+)
 from .labels import AddressSet
 from .learning import LearnConfig, evaluate_classification, learn
 from .metrics import write_run_summary
@@ -41,11 +47,19 @@ def _resolve_seed(args) -> int:
     return secrets.randbits(32)
 
 
-def _print_config(command: str, settings: dict) -> None:
-    # everything needed to reproduce the run, defaults resolved
-    print(f"[keyterrain {command}] effective config:")
+# parse bookkeeping, and stream's --default-factors, which is folded into factors
+_NOT_CONFIG = ("command", "func", "default_factors")
+
+
+def _effective_config(args, **resolved) -> dict:
+    """Print and return every option of the command in parser order, with the
+    values the command resolved in place of the parsed ones: everything needed
+    to reproduce the run, and the ``config`` block of its JSON output."""
+    settings = {k: resolved.get(k, v) for k, v in vars(args).items() if k not in _NOT_CONFIG}
+    print(f"[keyterrain {args.command}] effective config:")
     for key, value in settings.items():
         print(f"  {key} = {value}")
+    return settings
 
 
 def _parse_column_mapping(text: str | None) -> dict | None:
@@ -62,15 +76,7 @@ def _parse_column_mapping(text: str | None) -> dict | None:
 
 def cmd_prepare(args) -> int:
     columns = _parse_column_mapping(args.columns)
-    settings = {
-        "flows": args.flows,
-        "out": args.out,
-        "sort": args.sort,
-        "dedupe": args.dedupe,
-        "on_error": args.on_error,
-        "columns": args.columns or "(canonical)",
-    }
-    _print_config("prepare", settings)
+    _effective_config(args, columns=args.columns or "(canonical)")
     stats = ParseStats()
     with open(args.flows, encoding="utf-8", newline="") as src:
         stream = parse_flows(src, columns=columns, on_error=args.on_error, stats=stats)
@@ -98,10 +104,15 @@ def cmd_prepare(args) -> int:
     return 0
 
 
-def _build_learning_graph(args):
-    """Shared prefix-split / dedupe / census / filter / build pipeline."""
+def _learning_inputs(args):
+    """Front end of learn and baseline: check the graph options, load the
+    labels, then split, dedupe, census, filter and build the learning graph."""
     if not 0.0 < args.learn_split <= 1.0:
         raise ValueError(f"--learn-split must be in (0, 1], got {args.learn_split}")
+    check_fraction(args.pair_fraction)
+    labels = AddressSet.from_file(args.labels)
+    if not labels:
+        raise ValueError(f"labels file {args.labels} has no entries")
     with open(args.flows, encoding="utf-8", newline="") as fh:
         records = list(parse_flows(fh))
     total = len(records)
@@ -118,25 +129,13 @@ def _build_learning_graph(args):
         "vertices": graph.n,
         "edges": graph.edge_count,
     }
-    return graph, info
+    return labels, graph, info
 
 
 def cmd_learn(args) -> int:
     seed = _resolve_seed(args)
     heuristic = args.heuristic.replace("-", "_")
-    settings = {
-        "flows": args.flows,
-        "labels": args.labels,
-        "out": args.out,
-        "pair_fraction": args.pair_fraction,
-        "learn_split": args.learn_split,
-        "heuristic": heuristic,
-        "max_iterations": args.max_iterations,
-        "rw_probability": args.rw_probability,
-        "grid_step": args.grid_step,
-        "seed": seed,
-    }
-    _print_config("learn", settings)
+    settings = _effective_config(args, heuristic=heuristic, seed=seed)
     config = LearnConfig(
         max_iterations=args.max_iterations,
         rw_probability=args.rw_probability,
@@ -144,12 +143,9 @@ def cmd_learn(args) -> int:
         grid_step=args.grid_step,
         seed=seed,
     )
-    labels = AddressSet.from_file(args.labels)
-    if not labels:
-        raise ValueError(f"labels file {args.labels} has no entries")
 
     started = time.perf_counter()
-    graph, info = _build_learning_graph(args)
+    labels, graph, info = _learning_inputs(args)
     prep_elapsed = time.perf_counter() - started
     print(
         f"learning graph: {info['vertices']} vertices, {info['edges']} edges, "
@@ -198,17 +194,9 @@ def cmd_stream(args) -> int:
         table = load_damping_table(args.factors)
     else:
         raise ValueError("either --factors or --default-factors is required")
-    settings = {
-        "flows": args.flows,
-        "factors": "(default 0.85)" if args.default_factors else args.factors,
-        "labels": args.labels,
-        "local_prefixes": args.local_prefixes,
-        "out": args.out,
-        "beta": args.beta,
-        "sample_interval": args.sample_interval,
-        "top_k": args.top_k,
-    }
-    _print_config("stream", settings)
+    settings = _effective_config(
+        args, factors="(default 0.85)" if args.default_factors else args.factors
+    )
     labels = AddressSet.from_file(args.labels) if args.labels else None
     local = AddressSet.from_file(args.local_prefixes) if args.local_prefixes else None
     config = StreamConfig(
@@ -263,63 +251,31 @@ def cmd_stream(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    settings = {
-        "flows": args.flows,
-        "labels": args.labels,
-        "out": args.out,
-        "pair_fraction": args.pair_fraction,
-        "learn_split": args.learn_split,
-        "damping": args.damping,
-        "tolerance": args.tolerance,
-        "max_iterations": args.max_iterations,
-    }
-    _print_config("baseline", settings)
+    settings = _effective_config(args)
     check_stop_rule(args.tolerance, args.max_iterations)
     check_damping(args.damping)
     uniform = DampingTable({}, default_factor=args.damping)
-    labels = AddressSet.from_file(args.labels)
-    if not labels:
-        raise ValueError(f"labels file {args.labels} has no entries")
-    graph, info = _build_learning_graph(args)
+    labels, graph, info = _learning_inputs(args)
     print(f"learning graph: {info['vertices']} vertices, {info['edges']} edges")
 
-    classic = run_to_convergence(
-        graph, damping=args.damping, tolerance=args.tolerance, max_iters=args.max_iterations
+    stop = {"tolerance": args.tolerance, "max_iters": args.max_iterations}
+    runs = (
+        ("default_pagerank", "default pagerank",
+         run_to_convergence(graph, damping=args.damping, **stop)),
+        ("adjusted_uniform", "adjusted (uniform factors)",
+         run_adjusted_to_convergence(graph, uniform, **stop)),
     )
-    classic_f1, _ = evaluate_classification(classic.scores, graph, labels)
-    adjusted = run_adjusted_to_convergence(
-        graph, uniform, tolerance=args.tolerance, max_iters=args.max_iterations
-    )
-    adjusted_f1, _ = evaluate_classification(adjusted.scores, graph, labels)
-
-    for name, f1, res in (
-        ("default pagerank", classic_f1, classic),
-        ("adjusted (uniform factors)", adjusted_f1, adjusted),
-    ):
+    summary = {"command": "baseline", "config": settings, "graph": info}
+    for key, name, res in runs:
+        f1, _ = evaluate_classification(res.scores, graph, labels)
         state = "converged" if res.converged else "did not converge"
         print(f"{name}: F1 {f1:.4f} ({state} after {res.iterations} iterations)")
+        summary[key] = {"f1": f1, "converged": res.converged, "iterations": res.iterations}
 
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_run_summary(
-            out_dir / "baseline.json",
-            {
-                "command": "baseline",
-                "config": settings,
-                "graph": info,
-                "default_pagerank": {
-                    "f1": classic_f1,
-                    "converged": classic.converged,
-                    "iterations": classic.iterations,
-                },
-                "adjusted_uniform": {
-                    "f1": adjusted_f1,
-                    "converged": adjusted.converged,
-                    "iterations": adjusted.iterations,
-                },
-            },
-        )
+        write_run_summary(out_dir / "baseline.json", summary)
     return 0
 
 

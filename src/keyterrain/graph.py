@@ -29,10 +29,15 @@ def count_port_pairs(records: Iterable[FlowRecord]) -> PortPairCensus:
     )
 
 
-def filter_port_pairs(census: PortPairCensus, fraction: float) -> set[PortPair]:
-    """Port pairs occurring in strictly more than ``fraction`` of all flows."""
+def check_fraction(fraction: float) -> None:
+    """Reject a port-pair retention fraction outside [0, 1]."""
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
+
+
+def filter_port_pairs(census: PortPairCensus, fraction: float) -> set[PortPair]:
+    """Port pairs occurring in strictly more than ``fraction`` of all flows."""
+    check_fraction(fraction)
     threshold = fraction * census.total_flows
     return {pair for pair, count in census.counts.items() if count > threshold}
 

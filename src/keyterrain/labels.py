@@ -14,8 +14,8 @@ class AddressSet:
     """A set of IP addresses and/or CIDR prefixes.
 
     Membership covers both exact addresses and prefix containment. Lookups
-    are cached per queried string, so repeated evaluation over the same
-    vertex universe stays cheap.
+    are cached per queried string (queries of other types are not cached),
+    so repeated evaluation over the same vertex universe stays cheap.
 
     A query in canonical dotted-quad IPv4 text (see ``flows.packed_ipv4``)
     skips text parsing: it is its own canonical form, so it is looked up in
@@ -51,7 +51,9 @@ class AddressSet:
             addr = ipaddress.IPv4Address(packed)
             key = ip
         result = key in self.addresses or any(addr in net for net in self.networks)
-        self._cache[ip] = result
+        # only text: 1 == 1.0, but ipaddress takes the int and rejects the float
+        if isinstance(ip, str):
+            self._cache[ip] = result
         return result
 
     def __len__(self) -> int:

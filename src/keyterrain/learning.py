@@ -301,7 +301,7 @@ def learn(
     scores = adjusted_iteration(graph, init_scores(graph), factors)
     f1, misclassified = _evaluate(scores, label_mask)
     trace = [f1]
-    best_f1, best_factors = f1, factors.copy()
+    best_f1, best_factors = f1, factors
 
     iterations = 0
     while f1 != 1.0 and iterations <= config.max_iterations:
@@ -320,5 +320,5 @@ def learn(
         f1, misclassified = _evaluate(scores, label_mask)
         trace.append(f1)
         if f1 > best_f1:
-            best_f1, best_factors = f1, factors.copy()
+            best_f1, best_factors = f1, factors
     return LearnResult(best_f1, best_factors, iterations, trace)

@@ -39,9 +39,6 @@ class DampingTable:
         updated[PortPair(*pair)] = value
         return DampingTable(updated, self.default_factor)
 
-    def copy(self) -> "DampingTable":
-        return DampingTable(dict(self.factors), self.default_factor)
-
 
 def write_damping_table(table: DampingTable, out: IO[str]) -> None:
     """Serialize as a ``default,<value>`` line plus sorted ``src,dst,factor`` lines.

@@ -1,11 +1,12 @@
 """End-to-end CLI runs over temporary files."""
 
+import argparse
 import hashlib
 import json
 
 import pytest
 
-from keyterrain.cli import main
+from keyterrain.cli import build_parser, main
 from keyterrain.flows import parse_flows, write_flows
 
 from instances import STAR_SERVER, flow, star_instance, tangled_instance
@@ -257,6 +258,7 @@ class TestLearn:
             ("grid_step", "0", "grid_step out of (0, 1]: 0.0"),
             ("rw_probability", "2", "rw_probability out of [0, 1]: 2.0"),
             ("max_iterations", "-1", "max_iterations must be non-negative"),
+            ("pair_fraction", "1.5", "fraction must be in [0, 1], got 1.5"),
         ],
     )
     def test_bad_option_rejected_before_flows_are_read(
@@ -442,6 +444,7 @@ class TestBaseline:
             ("--tolerance", "nan", "tolerance must be a finite positive number, got nan"),
             ("--max-iterations", "-5", "max_iters must be non-negative, got -5"),
             ("--damping", "1.5", "damping out of [0, 1]: 1.5"),
+            ("--pair-fraction", "-1", "fraction must be in [0, 1], got -1.0"),
         ],
     )
     def test_bad_option_rejected_before_flows_are_read(
@@ -509,6 +512,42 @@ def test_baseline_reports_split_counts(split_files, tmp_path):
     ) == 0
     payload = json.loads((out_dir / "baseline.json").read_text())
     assert payload["graph"] == SPLIT_GRAPH
+
+
+def option_dests(command):
+    """The dests of a command's options, in the order build_parser adds them."""
+    (commands,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return [a.dest for a in commands.choices[command]._actions if a.dest != "help"]
+
+
+@pytest.mark.parametrize("command", ["prepare", "learn", "stream", "baseline"])
+def test_recorded_config_lists_every_option_in_parser_order(
+    star_files, tmp_path, capsys, command
+):
+    flows_path, labels_path = star_files
+    out = tmp_path / "out"
+    graph = ["--labels", str(labels_path), "--pair-fraction", "0.01", "--learn-split", "1.0"]
+    args = {
+        "prepare": [],
+        "learn": [*graph, "--max-iterations", "2", "--seed", "7"],
+        "stream": ["--default-factors"],
+        "baseline": graph,
+    }[command]
+    assert main([command, "--flows", str(flows_path), "--out", str(out), *args]) == 0
+    expected = option_dests(command)
+    if command == "stream":
+        # --default-factors is recorded as the factors it stands for
+        expected.remove("default_factors")
+    lines = capsys.readouterr().out.splitlines()
+    printed = [line.split(" = ")[0].strip() for line in lines if line.startswith("  ")]
+    assert printed == expected
+    if command != "prepare":
+        name = {"learn": "report.json", "stream": "summary.json", "baseline": "baseline.json"}
+        config = json.loads((out / name[command]).read_text())["config"]
+        # the JSON files are written with sorted keys
+        assert list(config) == sorted(expected)
 
 
 def test_help_lists_commands(capsys):

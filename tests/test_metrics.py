@@ -168,3 +168,10 @@ class TestAddressSet:
     def test_bad_entry_raises(self):
         with pytest.raises(ValueError):
             AddressSet(["not-an-ip"])
+
+    def test_int_answer_is_not_reused_for_an_equal_float(self):
+        # 1 == 1.0 and both hash alike, but ipaddress takes only the int
+        s = AddressSet(["0.0.0.1"])
+        assert 1 in s
+        with pytest.raises(ValueError):
+            1.0 in s
