@@ -61,7 +61,6 @@ from .streaming import (
     StreamState,
     run_stream,
     snapshot,
-    stream_update,
 )
 
 __version__ = "0.1.0"

@@ -76,6 +76,9 @@ def _parse_column_mapping(text: str | None) -> dict | None:
 
 def cmd_prepare(args) -> int:
     columns = _parse_column_mapping(args.columns)
+    # opening --out for writing would truncate the input before it is read
+    if os.path.exists(args.out) and os.path.samefile(args.flows, args.out):
+        raise ValueError(f"--out {args.out} is the --flows file")
     _effective_config(args, columns=args.columns or "(canonical)")
     stats = ParseStats()
     with open(args.flows, encoding="utf-8", newline="") as src:
@@ -111,8 +114,6 @@ def _learning_inputs(args):
         raise ValueError(f"--learn-split must be in (0, 1], got {args.learn_split}")
     check_fraction(args.pair_fraction)
     labels = AddressSet.from_file(args.labels)
-    if not labels:
-        raise ValueError(f"labels file {args.labels} has no entries")
     with open(args.flows, encoding="utf-8", newline="") as fh:
         records = list(parse_flows(fh))
     total = len(records)
@@ -188,12 +189,9 @@ def cmd_learn(args) -> int:
 
 
 def cmd_stream(args) -> int:
-    if args.default_factors:
-        table = DampingTable()
-    elif args.factors:
-        table = load_damping_table(args.factors)
-    else:
-        raise ValueError("either --factors or --default-factors is required")
+    if (args.factors is None) != args.default_factors:
+        raise ValueError("give exactly one of --factors and --default-factors")
+    table = DampingTable() if args.default_factors else load_damping_table(args.factors)
     settings = _effective_config(
         args, factors="(default 0.85)" if args.default_factors else args.factors
     )

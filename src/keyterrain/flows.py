@@ -178,8 +178,8 @@ def parse_flows(
     if stats is None:
         stats = ParseStats()
     arity = len(header)
-    ip_cache: dict[str, str] = {}
-    cached_ip = ip_cache.get
+    canonical_ips: dict[str, str] = {}
+    cached_ip = canonical_ips.get
     # An IP costs one lookup on its raw text once seen, a port or timestamp
     # one plain int(). The helpers run only when that fails or a port is out
     # of range, and they alone word every field error; FlowRecord checks
@@ -189,8 +189,8 @@ def parse_flows(
         try:
             if len(row) != arity:
                 raise ValueError(f"expected {arity} fields, got {len(row)}")
-            src_ip = cached_ip(row[i_src]) or _canonical_ip(row[i_src], ip_cache)
-            dst_ip = cached_ip(row[i_dst]) or _canonical_ip(row[i_dst], ip_cache)
+            src_ip = cached_ip(row[i_src]) or _canonical_ip(row[i_src], canonical_ips)
+            dst_ip = cached_ip(row[i_dst]) or _canonical_ip(row[i_dst], canonical_ips)
             try:
                 src_port = int(row[i_sport])
             except ValueError:

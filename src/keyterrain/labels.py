@@ -13,9 +13,7 @@ from .flows import packed_ipv4
 class AddressSet:
     """A set of IP addresses and/or CIDR prefixes.
 
-    Membership covers both exact addresses and prefix containment. Lookups
-    are cached per queried string (queries of other types are not cached),
-    so repeated evaluation over the same vertex universe stays cheap.
+    Membership covers both exact addresses and prefix containment.
 
     A query in canonical dotted-quad IPv4 text (see ``flows.packed_ipv4``)
     skips text parsing: it is its own canonical form, so it is looked up in
@@ -28,7 +26,6 @@ class AddressSet:
     def __init__(self, entries: Iterable[str]):
         self.addresses: set[str] = set()
         self.networks: list = []
-        self._cache: dict[str, bool] = {}
         for raw in entries:
             entry = raw.strip()
             if not entry:
@@ -39,10 +36,6 @@ class AddressSet:
                 self.networks.append(ipaddress.ip_network(entry, strict=False))
 
     def __contains__(self, ip: str) -> bool:
-        try:
-            return self._cache[ip]
-        except KeyError:
-            pass
         packed = packed_ipv4(ip)
         if packed is None:
             addr = ipaddress.ip_address(ip)
@@ -50,11 +43,7 @@ class AddressSet:
         else:
             addr = ipaddress.IPv4Address(packed)
             key = ip
-        result = key in self.addresses or any(addr in net for net in self.networks)
-        # only text: 1 == 1.0, but ipaddress takes the int and rejects the float
-        if isinstance(ip, str):
-            self._cache[ip] = result
-        return result
+        return key in self.addresses or any(addr in net for net in self.networks)
 
     def __len__(self) -> int:
         return len(self.addresses) + len(self.networks)
@@ -68,11 +57,17 @@ class AddressSet:
 
     @classmethod
     def from_file(cls, path) -> "AddressSet":
-        """Load one IP or CIDR per line; ``#`` starts a comment."""
+        """Load one IP or CIDR per line; ``#`` starts a comment.
+
+        A file with no entries is an error: an empty label set makes every
+        F1 meaningless, and an empty prefix set matches nothing.
+        """
         entries = []
         with open(path, encoding="utf-8") as fh:
             for line in fh:
                 text = line.split("#", 1)[0].strip()
                 if text:
                     entries.append(text)
+        if not entries:
+            raise ValueError(f"address file {path} has no entries")
         return cls(entries)

@@ -7,7 +7,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .flows import PortPair
+from .flows import PortPair, _parse_port
 from .graph import StaticGraph
 
 DEFAULT_DAMPING = 0.85
@@ -56,13 +56,6 @@ def save_damping_table(table: DampingTable, path) -> None:
         write_damping_table(table, fh)
 
 
-def _table_port(text: str) -> int:
-    value = int(text)
-    if not 0 <= value <= 65535:
-        raise ValueError(f"port out of range: {value}")
-    return value
-
-
 def read_damping_table(lines: Iterable[str]) -> DampingTable:
     factors: dict[PortPair, float] = {}
     default = DEFAULT_DAMPING
@@ -77,7 +70,7 @@ def read_damping_table(lines: Iterable[str]) -> DampingTable:
                     raise ValueError("default line needs exactly one value")
                 default = float(parts[1])
             elif len(parts) == 3:
-                pair = PortPair(_table_port(parts[0]), _table_port(parts[1]))
+                pair = PortPair(_parse_port(parts[0]), _parse_port(parts[1]))
                 factors[pair] = float(parts[2])
             else:
                 raise ValueError("expected 'src_port,dst_port,factor' or 'default,value'")

@@ -70,33 +70,6 @@ class StreamState:
         return idx
 
 
-def stream_update(
-    state: StreamState, flow: FlowRecord, table: DampingTable, beta: float = 0.5
-) -> StreamState:
-    """Apply one flow to the state and return it.
-
-    The flow's damping factor comes from the table (pairs never learned
-    resolve to its default). All increments are products of non-negative
-    terms, so masses stay non-negative.
-    """
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta out of (0, 1]: {beta}")
-    u = state.vertex_id(flow.src_ip)
-    v = state.vertex_id(flow.dst_ip)
-    d = table.factors.get((flow.src_port, flow.dst_port), table.default_factor)
-    rank = state.rank_mass
-    active = state.active_mass
-    rank[u] += 1.0 - d
-    active[u] += 1.0 - d
-    moving = active[u]
-    rank[v] += d * moving
-    active[v] += d * beta * moving
-    # reread instead of reusing `moving`: v aliases u on self-flows
-    active[u] = (1.0 - beta) * active[u]
-    state.flows_processed += 1
-    return state
-
-
 def _normalized_scores(state: StreamState) -> np.ndarray:
     ranks = np.asarray(state.rank_mass, dtype=float)
     total = ranks.sum()
@@ -152,7 +125,12 @@ def run_stream(
     labels: AddressSet | None = None,
     state: StreamState | None = None,
 ) -> list[SamplePoint]:
-    """Single pass over ``flows`` in the caller's order.
+    """Single pass over ``flows`` in the caller's order, advancing ``state``.
+
+    Each flow's damping factor comes from the table; pairs never learned
+    resolve to its default. Every increment is a product of non-negative
+    terms, so masses stay non-negative. Passing the same ``state`` to
+    successive calls continues one stream.
 
     A sample is taken every ``sample_interval`` flows and once more at end of
     stream (always, even when it coincides with an interval sample). With
@@ -162,10 +140,26 @@ def run_stream(
     config = config if config is not None else StreamConfig()
     state = state if state is not None else StreamState()
     interval = config.sample_interval
+    beta = config.beta
+    factor = table.factors.get
+    default = table.default_factor
+    vertex_id = state.vertex_id
+    rank = state.rank_mass
+    active = state.active_mass
     samples = []
     label_flags = bytearray()
     for flow in flows:
-        stream_update(state, flow, table, config.beta)
+        u = vertex_id(flow.src_ip)
+        v = vertex_id(flow.dst_ip)
+        d = factor((flow.src_port, flow.dst_port), default)
+        rank[u] += 1.0 - d
+        active[u] += 1.0 - d
+        moving = active[u]
+        rank[v] += d * moving
+        active[v] += d * beta * moving
+        # reread instead of reusing `moving`: v aliases u on self-flows
+        active[u] = (1.0 - beta) * active[u]
+        state.flows_processed += 1
         if interval and state.flows_processed % interval == 0:
             samples.append(_take_sample(state, config, labels, label_flags))
     samples.append(_take_sample(state, config, labels, label_flags))

@@ -176,7 +176,7 @@ def test_address_set_matches_ipaddress_oracle(items, drawn):
 
     cold = AddressSet(items)
     assert [outcome(lambda: q in cold) for q in batch] == expected
-    # a second pass answers from the cache, and must not differ
+    # a second pass over the same set must not differ
     assert [outcome(lambda: q in cold) for q in batch] == expected
 
     failures = [e for e in expected if e[0] == "raise"]

@@ -158,6 +158,18 @@ class TestPrepare:
         assert main(["prepare", "--flows", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o.csv")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_out_is_flows_leaves_input_intact(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        with open(src, "w", newline="") as fh:
+            write_flows([flow("10.0.0.1", "10.0.0.2", 1, 2, ts) for ts in range(50)], fh)
+        before = src.read_bytes()
+        # spelled differently, so only a same-file test can tell
+        out = f"{tmp_path}/./in.csv"
+        args = ["prepare", "--flows", str(src), "--out", out, "--sort", "start", "--dedupe"]
+        assert main(args) == 1
+        assert "is the --flows file" in capsys.readouterr().err
+        assert src.read_bytes() == before
+
 
 class TestLearn:
     def test_star_reaches_perfect_f1(self, star_files, tmp_path, capsys):
@@ -186,13 +198,6 @@ class TestLearn:
         code = main(learn_args(flows_path, tmp_path / "missing.txt", tmp_path / "out"))
         assert code == 1
         assert "error:" in capsys.readouterr().err
-
-    def test_empty_labels_file(self, star_files, tmp_path, capsys):
-        flows_path, _ = star_files
-        empty = tmp_path / "empty.txt"
-        empty.write_text("# nothing\n")
-        assert main(learn_args(flows_path, empty, tmp_path / "out")) == 1
-        assert "no entries" in capsys.readouterr().err
 
     def test_unusable_pair_fraction(self, star_files, tmp_path, capsys):
         flows_path, labels_path = star_files
@@ -330,6 +335,21 @@ class TestStream:
         assert code == 1
         assert "--default-factors" in capsys.readouterr().err
 
+    def test_factors_and_default_factors_exclusive(self, star_files, tmp_path, capsys):
+        flows_path, _ = star_files
+        factors = tmp_path / "factors.csv"
+        factors.write_text("default,0.5\n")
+        out_dir = tmp_path / "o"
+        code = main(
+            [
+                "stream", "--flows", str(flows_path), "--out", str(out_dir),
+                "--factors", str(factors), "--default-factors",
+            ]
+        )
+        assert code == 1
+        assert "--default-factors" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_local_prefixes_counted(self, star_files, tmp_path):
         flows_path, labels_path = star_files
         prefixes = tmp_path / "local.txt"
@@ -461,6 +481,27 @@ class TestBaseline:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "base").exists()
+
+
+@pytest.mark.parametrize("case", ["learn", "baseline", "stream-labels", "stream-local-prefixes"])
+def test_empty_labels_file(star_files, tmp_path, capsys, case):
+    flows_path, labels_path = star_files
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# nothing\n")
+    graph = ["--pair-fraction", "0.01", "--learn-split", "1.0"]
+    args = {
+        "learn": ["learn", "--labels", str(empty), *graph],
+        "baseline": ["baseline", "--labels", str(empty), *graph],
+        "stream-labels": ["stream", "--default-factors", "--labels", str(empty)],
+        "stream-local-prefixes": [
+            "stream", "--default-factors", "--labels", str(labels_path),
+            "--local-prefixes", str(empty),
+        ],
+    }[case]
+    out = tmp_path / "out"
+    assert main([*args, "--flows", str(flows_path), "--out", str(out)]) == 1
+    assert "no entries" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.fixture

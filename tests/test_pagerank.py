@@ -383,3 +383,7 @@ class TestDampingTable:
     def test_malformed_lines_rejected(self, line):
         with pytest.raises(ValueError, match="line 1|out of"):
             read_damping_table([line])
+
+    def test_bad_port_worded_like_a_flow_port(self):
+        with pytest.raises(ValueError, match=r"^damping table line 2: bad port 'x'$"):
+            read_damping_table(["default,0.85\n", "x,443,0.3\n"])

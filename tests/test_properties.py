@@ -174,6 +174,15 @@ def test_stream_masses_stay_non_negative(flows, factors, beta):
     assert all(mass >= 0.0 for mass in state.rank_mass)
     assert all(mass >= 0.0 for mass in state.active_mass)
 
+    # one call per flow over a shared state continues the same stream exactly
+    stepped = StreamState()
+    for record in records:
+        run_stream([record], table, StreamConfig(beta=beta), None, stepped)
+    assert stepped.rank_mass == state.rank_mass
+    assert stepped.active_mass == state.active_mass
+    assert stepped.vertices == state.vertices
+    assert stepped.flows_processed == state.flows_processed
+
 
 @PROPERTY_SETTINGS
 @given(

