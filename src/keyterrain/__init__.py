@@ -8,9 +8,11 @@ them to rank IPs over ordered flow data.
 from .flows import (
     FlowParseError,
     FlowRecord,
+    FlowRow,
     ParseStats,
     PortPair,
     dedupe_flows,
+    parse_flow_rows,
     parse_flows,
     sort_flows,
     write_flows,

@@ -9,7 +9,7 @@ import sys
 import time
 from pathlib import Path
 
-from .flows import ParseStats, dedupe_flows, parse_flows, sort_flows, write_flows
+from .flows import ParseStats, dedupe_flows, parse_flow_rows, sort_flows, write_flows
 from .graph import (
     build_static_graph,
     check_fraction,
@@ -82,7 +82,7 @@ def cmd_prepare(args) -> int:
     _effective_config(args, columns=args.columns or "(canonical)")
     stats = ParseStats()
     with open(args.flows, encoding="utf-8", newline="") as src:
-        stream = parse_flows(src, columns=columns, on_error=args.on_error, stats=stats)
+        stream = parse_flow_rows(src, columns=columns, on_error=args.on_error, stats=stats)
         # The dedupe key holds start_ts and the sort is stable, so on a start
         # or no sort every key keeps the same first copy whichever runs first;
         # deduping first leaves the sort only distinct rows. On an end sort the
@@ -115,7 +115,7 @@ def _learning_inputs(args):
     check_fraction(args.pair_fraction)
     labels = AddressSet.from_file(args.labels)
     with open(args.flows, encoding="utf-8", newline="") as fh:
-        records = list(parse_flows(fh))
+        records = list(parse_flow_rows(fh))
     total = len(records)
     prefix = int(total * args.learn_split)
     del records[prefix:]
@@ -203,13 +203,17 @@ def cmd_stream(args) -> int:
 
     started = time.perf_counter()
     with open(args.flows, encoding="utf-8", newline="") as fh:
-        samples = run_stream(parse_flows(fh), table, config, labels)
+        samples = run_stream(parse_flow_rows(fh), table, config, labels)
     elapsed = time.perf_counter() - started
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "samples.csv", "w", encoding="utf-8", newline="") as fh:
         write_samples_csv(samples, fh)
+    if local is not None:
+        # consecutive top lists mostly repeat: test each distinct IP once
+        top_ips = {ip for sample in samples for ip, _ in sample.top}
+        local_top = {ip for ip in top_ips if ip in local}
     sample_rows = []
     for i, sample in enumerate(samples, start=1):
         name = f"topk_{i:04d}.csv"
@@ -223,7 +227,7 @@ def cmd_stream(args) -> int:
             "topk_file": name,
         }
         if local is not None:
-            row["topk_local_members"] = sum(1 for ip, _ in sample.top if ip in local)
+            row["topk_local_members"] = sum(1 for ip, _ in sample.top if ip in local_top)
         sample_rows.append(row)
 
     final = samples[-1]

@@ -8,7 +8,8 @@ import ipaddress
 import pickle
 import tempfile
 from dataclasses import dataclass, field
-from operator import attrgetter
+from itertools import count
+from operator import itemgetter
 from socket import AF_INET, inet_ntop, inet_pton
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
@@ -30,14 +31,12 @@ class PortPair(NamedTuple):
     dst_port: int
 
 
-@dataclass(slots=True)
-class FlowRecord:
-    """One directed IP flow. Timestamps are integral milliseconds since epoch.
+FlowRow = tuple[str, str, int, int, int, int]
+"""A plain flow row in FlowRecord field order:
+``(src_ip, dst_ip, src_port, dst_port, start_ts, end_ts)``."""
 
-    Self-flows (src_ip == dst_ip) are legal and become self-loop edges
-    downstream.
-    """
 
+class _FlowFields(NamedTuple):
     src_ip: str
     dst_ip: str
     src_port: int
@@ -45,21 +44,29 @@ class FlowRecord:
     start_ts: int
     end_ts: int
 
-    def __post_init__(self):
-        if not 0 <= self.src_port <= 65535:
-            raise ValueError(f"src_port out of range: {self.src_port}")
-        if not 0 <= self.dst_port <= 65535:
-            raise ValueError(f"dst_port out of range: {self.dst_port}")
-        if self.start_ts > self.end_ts:
-            raise ValueError(f"start_ts {self.start_ts} after end_ts {self.end_ts}")
+
+class FlowRecord(_FlowFields):
+    """One directed IP flow. Timestamps are integral milliseconds since epoch.
+
+    A validated named tuple: it equals, hashes and unpacks as the plain
+    ``FlowRow`` of its fields, so every flow consumer takes either form.
+    Self-flows (src_ip == dst_ip) are legal and become self-loop edges
+    downstream.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, src_ip, dst_ip, src_port, dst_port, start_ts, end_ts):
+        if not 0 <= src_port <= 65535:
+            raise ValueError(f"src_port out of range: {src_port}")
+        if not 0 <= dst_port <= 65535:
+            raise ValueError(f"dst_port out of range: {dst_port}")
+        if start_ts > end_ts:
+            raise ValueError(f"start_ts {start_ts} after end_ts {end_ts}")
+        return super().__new__(cls, src_ip, dst_ip, src_port, dst_port, start_ts, end_ts)
 
     def port_pair(self) -> PortPair:
         return PortPair(self.src_port, self.dst_port)
-
-    def dedupe_key(self) -> tuple:
-        # end_ts deliberately excluded: re-exports of the same flow with a
-        # refreshed end timestamp must still collapse.
-        return (self.src_ip, self.dst_ip, self.src_port, self.dst_port, self.start_ts)
 
 
 @dataclass
@@ -135,13 +142,13 @@ def _parse_timestamp(text: str) -> int:
         raise ValueError(f"bad timestamp {text!r}") from None
 
 
-def parse_flows(
+def parse_flow_rows(
     lines: Iterable[str],
     columns: Mapping[str, str] | None = None,
     on_error: str = "abort",
     stats: ParseStats | None = None,
-) -> Iterator[FlowRecord]:
-    """Yield one FlowRecord per data row of delimiter-separated text.
+) -> Iterator[FlowRow]:
+    """Yield one plain ``FlowRow`` per data row of delimiter-separated text.
 
     ``lines`` is any iterable of text lines whose first row is a header.
     ``columns`` maps the six required field names (see CANONICAL_COLUMNS) to
@@ -149,10 +156,11 @@ def parse_flows(
     their canonical names. Extra columns are ignored, which also lets biflow
     exports be ingested by simply not mapping the reverse-direction counters.
 
-    Rows are streamed, never buffered. A malformed row (wrong arity,
-    unparsable IP/port/timestamp, start after end) raises FlowParseError
-    when ``on_error`` is "abort", or is counted in ``stats`` and skipped
-    when it is "skip".
+    Rows are streamed, never buffered, and hold what a FlowRecord checks:
+    ports in range and start no later than end. A malformed row (wrong
+    arity, unparsable IP/port/timestamp, start after end) raises
+    FlowParseError when ``on_error`` is "abort", or is counted in ``stats``
+    and skipped when it is "skip".
     """
     if on_error not in ("abort", "skip"):
         raise ValueError(f"on_error must be 'abort' or 'skip', got {on_error!r}")
@@ -182,8 +190,7 @@ def parse_flows(
     cached_ip = canonical_ips.get
     # An IP costs one lookup on its raw text once seen, a port or timestamp
     # one plain int(). The helpers run only when that fails or a port is out
-    # of range, and they alone word every field error; FlowRecord checks
-    # start against end.
+    # of range, and they alone word every field error.
     for row in reader:
         stats.rows += 1
         try:
@@ -211,41 +218,51 @@ def parse_flows(
                 end_ts = int(row[i_end])
             except ValueError:
                 end_ts = _parse_timestamp(row[i_end])
-            record = FlowRecord(src_ip, dst_ip, src_port, dst_port, start_ts, end_ts)
+            if start_ts > end_ts:
+                raise ValueError(f"start_ts {start_ts} after end_ts {end_ts}")
         except ValueError as exc:
             if on_error == "abort":
                 raise FlowParseError(reader.line_num, str(exc)) from exc
             stats.record_error(reader.line_num, str(exc))
             continue
         stats.parsed += 1
-        yield record
+        yield src_ip, dst_ip, src_port, dst_port, start_ts, end_ts
 
 
-def write_flows(records: Iterable[FlowRecord], out: IO[str]) -> int:
+def parse_flows(
+    lines: Iterable[str],
+    columns: Mapping[str, str] | None = None,
+    on_error: str = "abort",
+    stats: ParseStats | None = None,
+) -> Iterator[FlowRecord]:
+    """``parse_flow_rows`` with each row as a FlowRecord; same arguments,
+    errors and ``stats``. The rows are already valid, so they are wrapped
+    without checking them again."""
+    return map(FlowRecord._make, parse_flow_rows(lines, columns, on_error, stats))
+
+
+# canonical CSV column order (CANONICAL_COLUMNS) from FlowRecord field order
+_CSV_ORDER = itemgetter(4, 5, 0, 1, 2, 3)
+
+
+def write_flows(records: Iterable[FlowRow], out: IO[str]) -> int:
     """Write records as canonical CSV (header plus one row each); returns the count."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CANONICAL_COLUMNS)
-    count = 0
-    for rec in records:
-        writer.writerow(
-            (rec.start_ts, rec.end_ts, rec.src_ip, rec.dst_ip, rec.src_port, rec.dst_port)
-        )
-        count += 1
-    return count
+    # zip draws from the tally only after a record, so it stops at their count
+    tally = count()
+    writer.writerows(_CSV_ORDER(rec) for rec, _ in zip(records, tally))
+    return next(tally)
 
 
 # Records per pickled batch of a spill run; a merge holds one batch per run.
 _SPILL_BATCH = 4096
 
 
-def _spill_run(chunk: list[FlowRecord], sort_key, run: int) -> IO[bytes]:
+def _spill_run(chunk: list[FlowRow], sort_key, run: int) -> IO[bytes]:
     spill = tempfile.TemporaryFile()
     for lo in range(0, len(chunk), _SPILL_BATCH):
-        batch = [
-            (sort_key(rec), run, rec.src_ip, rec.dst_ip, rec.src_port, rec.dst_port,
-             rec.start_ts, rec.end_ts)
-            for rec in chunk[lo : lo + _SPILL_BATCH]
-        ]
+        batch = [(sort_key(rec), run, rec) for rec in chunk[lo : lo + _SPILL_BATCH]]
         pickle.dump(batch, spill, pickle.HIGHEST_PROTOCOL)
     spill.seek(0)
     return spill
@@ -261,26 +278,27 @@ def _read_run(spill: IO[bytes]) -> Iterator[tuple]:
 
 
 def sort_flows(
-    records: Iterable[FlowRecord],
+    records: Iterable[FlowRow],
     key: str = "start",
     chunk_size: int = 500_000,
-) -> Iterator[FlowRecord]:
+) -> Iterator[FlowRow]:
     """Stable sort by the chosen timestamp; key="none" passes input through unchanged.
 
     Inputs larger than ``chunk_size`` records are sorted in chunks spilled to
     temporary files and merged back one batch per chunk at a time, so the
     full input never has to fit in memory. Ties keep their original relative
-    order in either path.
+    order in either path, and each record comes back as the object it went
+    in as (a FlowRecord or a plain row).
     """
     if key == "none":
         yield from records
         return
     if key not in ("start", "end"):
         raise ValueError(f"sort key must be 'start', 'end' or 'none', got {key!r}")
-    sort_key = attrgetter("start_ts" if key == "start" else "end_ts")
+    sort_key = itemgetter(4 if key == "start" else 5)
 
     spills: list[IO[bytes]] = []
-    chunk: list[FlowRecord] = []
+    chunk: list[FlowRow] = []
     try:
         for rec in records:
             chunk.append(rec)
@@ -295,26 +313,28 @@ def sort_flows(
         if chunk:
             spills.append(_spill_run(chunk, sort_key, len(spills)))
         del chunk
-        # Spilled rows lead with (sort key, run index) and runs are numbered in
-        # input order, so a plain tuple merge keeps ties in input order and
-        # never compares further fields.
-        for row in heapq.merge(*(_read_run(f) for f in spills)):
-            yield FlowRecord(*row[2:])
+        # Spilled items are (sort key, run index, record) and runs are numbered
+        # in input order, so a plain tuple merge keeps ties in input order and
+        # never compares records.
+        for _, _, rec in heapq.merge(*(_read_run(f) for f in spills)):
+            yield rec
     finally:
         for spill in spills:
             spill.close()
 
 
-def dedupe_flows(records: Iterable[FlowRecord]) -> Iterator[FlowRecord]:
+def dedupe_flows(records: Iterable[FlowRow]) -> Iterator[FlowRow]:
     """Keep the first record per (src_ip, dst_ip, src_port, dst_port, start_ts).
 
-    Used when preparing the learning graph only; the streaming phase consumes
-    every flow. The set of seen keys is never trimmed, so memory grows with
-    the number of distinct keys (not with the number of records).
+    end_ts is deliberately left out of the key: re-exports of the same flow
+    with a refreshed end timestamp must still collapse. Used when preparing
+    the learning graph only; the streaming phase consumes every flow. The set
+    of seen keys is never trimmed, so memory grows with the number of
+    distinct keys (not with the number of records).
     """
     seen: set[tuple] = set()
     for rec in records:
-        k = rec.dedupe_key()
+        k = rec[:5]
         if k not in seen:
             seen.add(k)
             yield rec

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import IO, Iterable
 
 import numpy as np
 
-from .flows import FlowRecord, PortPair
+from .flows import FlowRow, PortPair
 
 
 class GraphBuildError(ValueError):
@@ -21,9 +22,9 @@ class PortPairCensus:
     total_flows: int
 
 
-def count_port_pairs(records: Iterable[FlowRecord]) -> PortPairCensus:
+def count_port_pairs(records: Iterable[FlowRow]) -> PortPairCensus:
     """Tally every record's port pair; total_flows is the record count."""
-    counts = Counter((rec.src_port, rec.dst_port) for rec in records)
+    counts = Counter(map(itemgetter(2, 3), records))
     return PortPairCensus(
         {PortPair(*pair): count for pair, count in counts.items()}, sum(counts.values())
     )
@@ -84,9 +85,7 @@ class StaticGraph:
             yield int(s), int(d), self.pairs[int(p)]
 
 
-def build_static_graph(
-    records: Iterable[FlowRecord], retained: set[PortPair]
-) -> StaticGraph:
+def build_static_graph(records: Iterable[FlowRow], retained: set[PortPair]) -> StaticGraph:
     """Materialize the learning graph: one edge per record with a retained pair.
 
     ``records`` must already be deduplicated. Vertices are exactly the IPs
@@ -95,12 +94,12 @@ def build_static_graph(
     """
     ids: dict[str, int] = {}
     rows: list[tuple[int, int, int, int]] = []
-    for rec in records:
+    for src_ip, dst_ip, src_port, dst_port, _, _ in records:
         # a PortPair hashes and compares as its plain tuple
-        if (rec.src_port, rec.dst_port) in retained:
-            src = ids.setdefault(rec.src_ip, len(ids))
-            dst = ids.setdefault(rec.dst_ip, len(ids))
-            rows.append((src, dst, rec.src_port, rec.dst_port))
+        if (src_port, dst_port) in retained:
+            src = ids.setdefault(src_ip, len(ids))
+            dst = ids.setdefault(dst_ip, len(ids))
+            rows.append((src, dst, src_port, dst_port))
     if not rows:
         raise GraphBuildError(
             "no flows carry a retained port pair; the learning graph would be empty"
@@ -109,8 +108,9 @@ def build_static_graph(
 
 
 def write_edge_list(graph: StaticGraph, out: IO[str]) -> None:
-    """Dump edges as ``src_ip,dst_ip,src_port,dst_port`` lines for inspection."""
-    for s, d, pair in graph.edges():
-        out.write(
-            f"{graph.vertices[s]},{graph.vertices[d]},{pair.src_port},{pair.dst_port}\n"
-        )
+    """Dump edges as ``src_ip,dst_ip,src_port,dst_port`` lines for inspection,
+    in ``edges()`` order."""
+    ips = graph.vertices
+    pairs = [f"{pair.src_port},{pair.dst_port}" for pair in graph.pairs]
+    columns = (graph.edge_src.tolist(), graph.edge_dst.tolist(), graph.edge_pair_id.tolist())
+    out.writelines(f"{ips[s]},{ips[d]},{pairs[p]}\n" for s, d, p in zip(*columns))

@@ -17,10 +17,10 @@ class AddressSet:
 
     A query in canonical dotted-quad IPv4 text (see ``flows.packed_ipv4``)
     skips text parsing: it is its own canonical form, so it is looked up in
-    the exact addresses as is, and its address for the prefix test is built
-    from the packed bytes. Every other query (IPv6, padded or leading-zero
-    text, an int) is parsed by ``ipaddress`` and gets its answer, or its
-    exception, from there.
+    the exact addresses as is, and only a set with prefixes builds its
+    address, from the packed bytes, for the prefix test. Every other query
+    (IPv6, padded or leading-zero text, an int) is parsed by ``ipaddress``
+    and gets its answer, or its exception, from there.
     """
 
     def __init__(self, entries: Iterable[str]):
@@ -39,11 +39,13 @@ class AddressSet:
         packed = packed_ipv4(ip)
         if packed is None:
             addr = ipaddress.ip_address(ip)
-            key = str(addr)
+            found = str(addr) in self.addresses
         else:
+            found = ip in self.addresses
+            if found or not self.networks:
+                return found
             addr = ipaddress.IPv4Address(packed)
-            key = ip
-        return key in self.addresses or any(addr in net for net in self.networks)
+        return found or any(addr in net for net in self.networks)
 
     def __len__(self) -> int:
         return len(self.addresses) + len(self.networks)

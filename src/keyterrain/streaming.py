@@ -8,14 +8,15 @@ flow is one edge; memory grows only with distinct IPs, never with flow count.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .flows import FlowRecord
+from .flows import FlowRow
 from .labels import AddressSet
-from .metrics import mask_f1, topk_true_positives
+from .metrics import mask_f1
 from .pagerank import DampingTable, classify
 
 
@@ -46,13 +47,18 @@ class SamplePoint:
 
 
 class StreamState:
-    """Per-vertex rank mass and active mass; the registry is append-only."""
+    """Per-vertex rank mass and active mass; the registry is append-only.
+
+    The masses are ``array('d')``, so a sample reads them through a zero-copy
+    numpy view. An array cannot grow while such a view is alive, so no view
+    may outlive the call that made it.
+    """
 
     def __init__(self):
         self.vertex_index: dict[str, int] = {}
         self.vertices: list[str] = []
-        self.rank_mass: list[float] = []
-        self.active_mass: list[float] = []
+        self.rank_mass = array("d")
+        self.active_mass = array("d")
         self.flows_processed = 0
 
     @property
@@ -71,7 +77,8 @@ class StreamState:
 
 
 def _normalized_scores(state: StreamState) -> np.ndarray:
-    ranks = np.asarray(state.rank_mass, dtype=float)
+    """A new array; the view of the rank masses ends with this call."""
+    ranks = np.frombuffer(state.rank_mass, dtype=float)
     total = ranks.sum()
     return ranks / total if total > 0.0 else np.zeros_like(ranks)
 
@@ -108,24 +115,29 @@ def _take_sample(
     registered since. It is read through a zero-copy view that must not
     outlive the sample: a bytearray with a live view cannot grow."""
     scores = _normalized_scores(state)
-    top = [(state.vertices[i], float(scores[i])) for i in _top_indices(scores, config.top_k)]
+    top_ids = _top_indices(scores, config.top_k)
+    top = [(state.vertices[i], float(scores[i])) for i in top_ids]
     f1 = None
     topk_tp = None
     if labels is not None:
         label_flags.extend(ip in labels for ip in state.vertices[len(label_flags):])
-        f1 = mask_f1(classify(scores), np.frombuffer(label_flags, dtype=bool)) if state.n else 0.0
-        topk_tp = topk_true_positives([ip for ip, _ in top], labels, config.top_k)[0]
+        labeled = np.frombuffer(label_flags, dtype=bool)
+        f1 = mask_f1(classify(scores), labeled) if state.n else 0.0
+        topk_tp = int(np.count_nonzero(labeled[top_ids]))
     return SamplePoint(state.flows_processed, state.n, top, f1, topk_tp)
 
 
 def run_stream(
-    flows: Iterable[FlowRecord],
+    flows: Iterable[FlowRow],
     table: DampingTable,
     config: StreamConfig | None = None,
     labels: AddressSet | None = None,
     state: StreamState | None = None,
 ) -> list[SamplePoint]:
     """Single pass over ``flows`` in the caller's order, advancing ``state``.
+
+    A flow is any 6-tuple in FlowRecord field order (a FlowRecord or a plain
+    row from ``parse_flow_rows``).
 
     Each flow's damping factor comes from the table; pairs never learned
     resolve to its default. Every increment is a product of non-negative
@@ -141,24 +153,36 @@ def run_stream(
     state = state if state is not None else StreamState()
     interval = config.sample_interval
     beta = config.beta
+    keep = 1.0 - beta
     factor = table.factors.get
     default = table.default_factor
+    known = state.vertex_index.get
     vertex_id = state.vertex_id
     rank = state.rank_mass
     active = state.active_mass
     samples = []
     label_flags = bytearray()
-    for flow in flows:
-        u = vertex_id(flow.src_ip)
-        v = vertex_id(flow.dst_ip)
-        d = factor((flow.src_port, flow.dst_port), default)
-        rank[u] += 1.0 - d
-        active[u] += 1.0 - d
-        moving = active[u]
+    for src_ip, dst_ip, src_port, dst_port, _, _ in flows:
+        u = known(src_ip)
+        if u is None:
+            u = vertex_id(src_ip)
+        v = known(dst_ip)
+        if v is None:
+            v = vertex_id(dst_ip)
+        d = factor((src_port, dst_port), default)
+        # Each mass is read and written once, because every array access
+        # boxes or unboxes a float. The rule, in order: u gains fresh = 1 - d
+        # in both masses, v gains d * moving in rank and d * beta * moving
+        # in active, and u keeps (1 - beta) of its active mass after that.
+        fresh = 1.0 - d
+        moving = active[u] + fresh
+        rank[u] += fresh
         rank[v] += d * moving
-        active[v] += d * beta * moving
-        # reread instead of reusing `moving`: v aliases u on self-flows
-        active[u] = (1.0 - beta) * active[u]
+        if u != v:
+            active[v] += d * beta * moving
+            active[u] = keep * moving
+        else:  # a self-flow's share lands back on u before u decays
+            active[u] = keep * (moving + d * beta * moving)
         state.flows_processed += 1
         if interval and state.flows_processed % interval == 0:
             samples.append(_take_sample(state, config, labels, label_flags))

@@ -350,6 +350,30 @@ def static_graph_by_triples(records, retained):
     }
 
 
+def stream_masses_by_rule(records, table: DampingTable, beta: float):
+    """The stream update rule written out in its original order, on plain
+    lists: (vertices, rank masses, active masses) after ``records``."""
+    index: dict[str, int] = {}
+    rank: list[float] = []
+    active: list[float] = []
+    for rec in records:
+        for ip in (rec.src_ip, rec.dst_ip):
+            if ip not in index:
+                index[ip] = len(index)
+                rank.append(0.0)
+                active.append(0.0)
+        u, v = index[rec.src_ip], index[rec.dst_ip]
+        d = table.factors.get((rec.src_port, rec.dst_port), table.default_factor)
+        rank[u] += 1.0 - d
+        active[u] += 1.0 - d
+        moving = active[u]
+        rank[v] += d * moving
+        active[v] += d * beta * moving
+        # reread instead of reusing `moving`: v aliases u on self-flows
+        active[u] = (1.0 - beta) * active[u]
+    return list(index), rank, active
+
+
 class AddressSetByIpaddress:
     """AddressSet membership the direct way: entries parsed as AddressSet
     parses them, and every query through ``ipaddress``, uncached, tested

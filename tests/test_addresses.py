@@ -164,12 +164,22 @@ def boundary_queries(items):
 
 
 @PROPERTY_SETTINGS
-@given(items=entries, drawn=st.lists(queries, max_size=12))
-@example(items=["0.0.0.0/0"], drawn=["10.0.0.1", "::1", 167772161, "", "1.2.3.4\x00"])
-@example(items=["10.0.0.0/25", "10.0.0.128/25", "10.0.1.1/32"], drawn=["10.0.0.255"])
-@example(items=["10.0.0.0/16", "10.0.4.0/22", "10.0.6.0/23"], drawn=["10.1.0.0"])
-@example(items=["::/0", "::ffff:10.0.0.0/120"], drawn=["10.0.0.1", "::ffff:10.0.0.1"])
-def test_address_set_matches_ipaddress_oracle(items, drawn):
+@given(items=entries, drawn=st.lists(queries, max_size=12), prefix_free=st.booleans())
+@example(items=["0.0.0.0/0"], drawn=["10.0.0.1", "::1", 167772161, "", "1.2.3.4\x00"],
+         prefix_free=False)
+@example(items=["10.0.0.0/25", "10.0.0.128/25", "10.0.1.1/32"], drawn=["10.0.0.255"],
+         prefix_free=False)
+@example(items=["10.0.0.0/16", "10.0.4.0/22", "10.0.6.0/23"], drawn=["10.1.0.0"],
+         prefix_free=False)
+@example(items=["::/0", "::ffff:10.0.0.0/120"], drawn=["10.0.0.1", "::ffff:10.0.0.1"],
+         prefix_free=False)
+@example(items=["10.0.0.1", "::ffff:10.0.0.2"],
+         drawn=["10.0.0.1", "10.0.0.2", "::ffff:10.0.0.1", "010.0.0.1", 167772161, ""],
+         prefix_free=True)
+def test_address_set_matches_ipaddress_oracle(items, drawn, prefix_free):
+    if prefix_free:
+        # exact addresses only: canonical IPv4 queries take the set-only path
+        items = [item for item in items if "/" not in item]
     oracle = AddressSetByIpaddress(items)
     batch = boundary_queries(items) + drawn
     expected = [outcome(lambda: q in oracle) for q in batch]

@@ -7,7 +7,8 @@ import json
 import pytest
 
 from keyterrain.cli import build_parser, main
-from keyterrain.flows import parse_flows, write_flows
+from keyterrain.flows import FlowRecord, parse_flows, write_flows
+from keyterrain.labels import AddressSet
 
 from instances import STAR_SERVER, flow, star_instance, tangled_instance
 
@@ -367,6 +368,32 @@ class TestStream:
         assert summary["samples"][-1]["topk_local_members"] == 10
 
 
+    def test_local_members_recount_from_topk_files(self, star_files, tmp_path):
+        flows_path, labels_path = star_files
+        prefixes = tmp_path / "local.txt"
+        # seven of the twenty clients, and the sink by its exact address
+        prefixes.write_text("10.0.1.0/29\n10.0.2.1\n")
+        out_dir = tmp_path / "streamed"
+        code = main(
+            [
+                "stream", "--flows", str(flows_path), "--out", str(out_dir),
+                "--default-factors", "--labels", str(labels_path),
+                "--local-prefixes", str(prefixes), "--top-k", "10",
+                "--sample-interval", "50",
+            ]
+        )
+        assert code == 0
+        local = AddressSet.from_file(prefixes)
+        rows = json.loads((out_dir / "summary.json").read_text())["samples"]
+        assert len(rows) == 9
+        counts = []
+        for row in rows:
+            lines = (out_dir / row["topk_file"]).read_text().splitlines()[1:]
+            counts.append(sum(line.split(",")[1] in local for line in lines))
+        assert [row["topk_local_members"] for row in rows] == counts
+        assert 0 < max(counts) < 10
+
+
 class TestBaseline:
     def test_reports_both_variants(self, star_files, tmp_path, capsys):
         flows_path, labels_path = star_files
@@ -598,3 +625,30 @@ def test_help_lists_commands(capsys):
     out = capsys.readouterr().out
     for command in ("prepare", "learn", "stream", "baseline"):
         assert command in out
+
+
+def test_commands_construct_no_flow_record(star_files, tmp_path, monkeypatch):
+    # every command reads plain rows from the parser; wrapping them in
+    # FlowRecords is the per-flow cost the row form removes
+    def refuse(*args, **kwargs):
+        raise AssertionError("a FlowRecord was constructed")
+
+    monkeypatch.setattr(FlowRecord, "__new__", refuse)
+    monkeypatch.setattr(FlowRecord, "_make", classmethod(refuse))
+    flows_path, labels_path = star_files
+    prepared = tmp_path / "prepared.csv"
+    graph = ["--labels", str(labels_path), "--pair-fraction", "0.01", "--learn-split", "1.0"]
+    commands = [
+        ["prepare", "--flows", str(flows_path), "--out", str(prepared),
+         "--sort", "start", "--dedupe"],
+        ["learn", "--flows", str(prepared), "--out", str(tmp_path / "learned"), *graph,
+         "--max-iterations", "3", "--seed", "7"],
+        ["baseline", "--flows", str(prepared), "--out", str(tmp_path / "base"), *graph],
+        ["stream", "--flows", str(prepared), "--out", str(tmp_path / "streamed"),
+         "--factors", str(tmp_path / "learned" / "factors.csv"),
+         "--labels", str(labels_path), "--sample-interval", "100"],
+    ]
+    for args in commands:
+        assert main(args) == 0, args[0]
+    with pytest.raises(AssertionError, match="FlowRecord was constructed"):
+        FlowRecord("10.0.0.1", "10.0.0.2", 1, 2, 3, 4)

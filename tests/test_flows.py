@@ -12,6 +12,7 @@ from keyterrain.flows import (
     ParseStats,
     PortPair,
     dedupe_flows,
+    parse_flow_rows,
     parse_flows,
     sort_flows,
     write_flows,
@@ -113,6 +114,53 @@ class TestParse:
     def test_bad_policy(self):
         with pytest.raises(ValueError, match="on_error"):
             parse_text(HEADER + "\n", on_error="ignore")
+
+
+class TestRowForm:
+    @pytest.mark.parametrize(
+        "bad_row,message",
+        [
+            ("1,2,10.0.0.999,10.0.0.9,51432,443", "line 3: bad IP address '10.0.0.999'"),
+            ("1,2,10.0.0.5,10.0.0.9,51432,x443", "line 3: bad port 'x443'"),
+            ("9,2,10.0.0.5,10.0.0.9,51432,443", "line 3: start_ts 9 after end_ts 2"),
+        ],
+    )
+    def test_records_and_rows_fail_alike(self, bad_row, message):
+        text = HEADER + "\n1,2,10.0.0.5,10.0.0.9,51432,443\n" + bad_row + "\n"
+        for parser in (parse_flows, parse_flow_rows):
+            with pytest.raises(FlowParseError) as excinfo:
+                list(parser(io.StringIO(text)))
+            assert (excinfo.value.line_no, str(excinfo.value)) == (3, message)
+
+    def test_records_and_rows_skip_alike(self):
+        text = (
+            HEADER
+            + "\n1,2,10.0.0.5,10.0.0.9,51432,443\n"
+            + "9,2,10.0.0.5,10.0.0.9,51432,443\n"
+            + "3,4,10.0.0.5,10.0.0.9,51432,70000\n"
+            + "3,4,10.0.0.6,10.0.0.9,51432,443\n"
+        )
+        parsed = []
+        for parser in (parse_flows, parse_flow_rows):
+            stats = ParseStats()
+            flows = list(parser(io.StringIO(text), on_error="skip", stats=stats))
+            parsed.append((flows, stats))
+        (records, record_stats), (rows, row_stats) = parsed
+        assert rows == [
+            ("10.0.0.5", "10.0.0.9", 51432, 443, 1, 2),
+            ("10.0.0.6", "10.0.0.9", 51432, 443, 3, 4),
+        ]
+        assert records == rows and all(type(r) is FlowRecord for r in records)
+        assert record_stats == row_stats
+        assert row_stats.errors == [
+            (3, "start_ts 9 after end_ts 2"), (4, "port out of range: 70000")
+        ]
+
+    def test_record_is_its_row(self):
+        rec = FlowRecord("10.0.0.1", "10.0.0.2", 1, 2, 3, 4)
+        assert rec == ("10.0.0.1", "10.0.0.2", 1, 2, 3, 4)
+        assert hash(rec) == hash(tuple(rec))
+        assert rec.port_pair() == PortPair(1, 2)
 
 
 def random_records(rng, count=200):

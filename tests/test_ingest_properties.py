@@ -1,5 +1,6 @@
 """Property tests of ingestion: the flow parser against the helper-per-field
-oracle, and the invariants ``prepare`` relies on when it reorders its steps."""
+oracle, the record form against the plain row form, and the invariants
+``prepare`` relies on when it reorders its steps."""
 
 import io
 import ipaddress
@@ -16,10 +17,12 @@ from keyterrain.flows import (
     FlowRecord,
     ParseStats,
     dedupe_flows,
+    parse_flow_rows,
     parse_flows,
     sort_flows,
     write_flows,
 )
+from keyterrain.graph import build_static_graph, count_port_pairs
 
 from instances import parse_flows_by_helpers
 
@@ -128,6 +131,21 @@ def test_parser_matches_helper_oracle(rows, on_error):
     )
 
 
+@PROPERTY_SETTINGS
+@given(
+    rows=st.lists(st.one_of(flow_rows(), well_formed_rows), max_size=30),
+    on_error=st.sampled_from(("abort", "skip")),
+)
+def test_record_parser_wraps_the_row_parser(rows, on_error):
+    text = ",".join(CANONICAL_COLUMNS) + "\n" + "".join(row + "\n" for row in rows)
+    records, record_stats, record_error = run_parser(parse_flows, text, on_error)
+    plain, plain_stats, plain_error = run_parser(parse_flow_rows, text, on_error)
+    assert all(type(r) is FlowRecord for r in records)
+    assert all(type(r) is tuple for r in plain)
+    assert records == plain
+    assert (record_stats, record_error) == (plain_stats, plain_error)
+
+
 addresses = st.one_of(
     st.integers(0, 2**32 - 1).map(lambda v: str(ipaddress.IPv4Address(v))),
     st.integers(0, 2**128 - 1).map(lambda v: str(ipaddress.IPv6Address(v))),
@@ -224,3 +242,36 @@ def test_abandoned_sort_closes_its_spills(monkeypatch):
     next(stream)
     stream.close()
     assert len(opened) == 4 and all(f.closed for f in opened)
+
+
+@PROPERTY_SETTINGS
+@given(
+    records=st.lists(crowded, max_size=60),
+    key=st.sampled_from(("start", "end")),
+    chunk_size=st.integers(1, 8),
+    as_rows=st.booleans(),
+)
+def test_spill_sort_equals_in_memory_sort(records, key, chunk_size, as_rows):
+    flows = [tuple(r) for r in records] if as_rows else records
+    spilled = list(sort_flows(flows, key=key, chunk_size=chunk_size))
+    assert spilled == list(sort_flows(flows, key=key))
+    # each flow comes back in the form it went in as
+    assert all(type(r) is (tuple if as_rows else FlowRecord) for r in spilled)
+
+
+@PROPERTY_SETTINGS
+@given(records=st.lists(crowded, min_size=1, max_size=60))
+def test_consumers_treat_records_and_rows_alike(records):
+    rows = [tuple(r) for r in records]
+    assert list(dedupe_flows(rows)) == list(dedupe_flows(records))
+    written = []
+    for flows in (records, rows):
+        buf = io.StringIO()
+        assert write_flows(flows, buf) == len(records)
+        written.append(buf.getvalue())
+    assert written[0] == written[1]
+    assert count_port_pairs(rows) == count_port_pairs(records)
+    retained = set(count_port_pairs(records).counts)
+    by_rows, by_records = build_static_graph(rows, retained), build_static_graph(records, retained)
+    assert by_rows.vertices == by_records.vertices
+    assert list(by_rows.edges()) == list(by_records.edges())

@@ -3,6 +3,7 @@ against direct oracles, and the stream sampler against a full ranking."""
 
 import math
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from keyterrain.labels import AddressSet
 from keyterrain.learning import _grid_f1s, choose_conflict_port_pair, grid_values
-from keyterrain.metrics import f1_from_counts, precision_recall_f1
+from keyterrain.metrics import f1_from_counts, precision_recall_f1, topk_true_positives
 from keyterrain.pagerank import DampingTable, adjusted_iteration, init_scores
 from keyterrain.streaming import StreamConfig, StreamState, run_stream, snapshot
 
@@ -22,6 +23,7 @@ from instances import (
     grid_f1s_by_full_recompute,
     ip_of,
     random_multigraph,
+    stream_masses_by_rule,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None)
@@ -43,7 +45,7 @@ def test_stream_f1_matches_set_based_f1(rank_mass, labeled, all_equal):
         state.rank_mass[i] = mass
     # equal masses put every score exactly on the 1/n threshold
     if all_equal:
-        state.rank_mass[:] = [1.0] * len(rank_mass)
+        state.rank_mass[:] = array("d", [1.0] * len(rank_mass))
     labels = AddressSet([ip_of(i) for i in labeled])
 
     sample = run_stream([], DampingTable(), StreamConfig(), labels, state)[-1]
@@ -153,6 +155,27 @@ def test_sampled_top_k_is_the_snapshot_head(rank_mass, top_k, all_equal):
 
 @PROPERTY_SETTINGS
 @given(
+    rank_mass=st.lists(masses | tied_masses, max_size=40),
+    labeled=st.sets(st.integers(min_value=0, max_value=60), max_size=20),
+    top_k=st.integers(min_value=1, max_value=50),
+    with_prefix=st.booleans(),
+)
+def test_sampled_topk_tp_counts_labeled_top_ips(rank_mass, labeled, top_k, with_prefix):
+    # labels may name IPs outside the universe, and a prefix may cover some
+    state = StreamState()
+    for i, mass in enumerate(rank_mass):
+        state.vertex_id(ip_of(i))
+        state.rank_mass[i] = mass
+    labels = AddressSet([ip_of(i) for i in labeled] + (["10.50.0.0/30"] if with_prefix else []))
+
+    sample = run_stream([], DampingTable(), StreamConfig(top_k=top_k), labels, state)[-1]
+
+    ranking = [ip for ip, _ in sample.top]
+    assert sample.topk_tp == topk_true_positives(ranking, labels, top_k)[0]
+
+
+@PROPERTY_SETTINGS
+@given(
     flows=st.lists(
         st.tuples(
             st.integers(0, 9),
@@ -173,6 +196,9 @@ def test_stream_masses_stay_non_negative(flows, factors, beta):
 
     assert all(mass >= 0.0 for mass in state.rank_mass)
     assert all(mass >= 0.0 for mass in state.active_mass)
+    # the rule in its written-out order, self-flows included, to the last bit
+    expected = stream_masses_by_rule(records, table, beta)
+    assert (state.vertices, list(state.rank_mass), list(state.active_mass)) == expected
 
     # one call per flow over a shared state continues the same stream exactly
     stepped = StreamState()
@@ -204,3 +230,31 @@ def test_interval_samples_match_fresh_end_of_stream_samples(flows, labeled, inte
         fresh = run_stream(records[: sample.flows_processed], DampingTable(),
                            StreamConfig(top_k=top_k), labels)[-1]
         assert (sample.top, sample.f1, sample.topk_tp) == (fresh.top, fresh.f1, fresh.topk_tp)
+
+
+@PROPERTY_SETTINGS
+@given(
+    flows=st.lists(
+        st.tuples(st.integers(0, 12), st.integers(0, 12), st.sampled_from(GRID_PAIRS)),
+        max_size=150,
+    ),
+    labeled=st.sets(st.integers(0, 15), max_size=6),
+    interval=st.integers(min_value=0, max_value=20),
+    factors=st.lists(st.sampled_from(GRID_FACTORS), min_size=4, max_size=4),
+)
+def test_stream_over_rows_equals_stream_over_records(flows, labeled, interval, factors):
+    table = DampingTable(dict(zip(GRID_PAIRS, factors)), factors[-1])
+    records = [flow(ip_of(u), ip_of(v), *pair, ts) for ts, (u, v, pair) in enumerate(flows)]
+    rows = [tuple(record) for record in records]
+    labels = AddressSet([ip_of(i) for i in labeled])
+    config = StreamConfig(sample_interval=interval, top_k=5)
+    by_records, by_rows = StreamState(), StreamState()
+
+    samples = run_stream(records, table, config, labels, by_records)
+
+    assert run_stream(rows, table, config, labels, by_rows) == samples
+    assert by_rows.vertices == by_records.vertices
+    assert by_rows.vertex_index == by_records.vertex_index
+    assert by_rows.rank_mass == by_records.rank_mass
+    assert by_rows.active_mass == by_records.active_mass
+    assert by_rows.flows_processed == by_records.flows_processed == len(flows)
