@@ -70,6 +70,9 @@ class StaticGraph:
         self.edge_dst = dst[order]
         self.edge_pair_id = pair_id.astype(np.int64)
         self.out_degree = np.bincount(self.edge_src, minlength=self.n).astype(np.int64)
+        # the largest in- plus out-degree; a self-loop counts in both
+        in_degree = np.bincount(self.edge_dst, minlength=self.n)
+        self.max_degree = int((in_degree + self.out_degree).max(initial=0))
 
     @property
     def n(self) -> int:
@@ -78,11 +81,6 @@ class StaticGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edge_src)
-
-    def edges(self) -> Iterable[tuple[int, int, PortPair]]:
-        """Edge triples (src_vertex, dst_vertex, pair) in stored order."""
-        for s, d, p in zip(self.edge_src, self.edge_dst, self.edge_pair_id):
-            yield int(s), int(d), self.pairs[int(p)]
 
 
 def build_static_graph(records: Iterable[FlowRow], retained: set[PortPair]) -> StaticGraph:
@@ -109,7 +107,7 @@ def build_static_graph(records: Iterable[FlowRow], retained: set[PortPair]) -> S
 
 def write_edge_list(graph: StaticGraph, out: IO[str]) -> None:
     """Dump edges as ``src_ip,dst_ip,src_port,dst_port`` lines for inspection,
-    in ``edges()`` order."""
+    in stored order."""
     ips = graph.vertices
     pairs = [f"{pair.src_port},{pair.dst_port}" for pair in graph.pairs]
     columns = (graph.edge_src.tolist(), graph.edge_dst.tolist(), graph.edge_pair_id.tolist())

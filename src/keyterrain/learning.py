@@ -122,9 +122,42 @@ def grid_values(step: float = 0.05) -> list[float]:
     return values
 
 
-# Rounding slack of a grid estimate, in eps per term of its vertex's score sum;
-# the bound it covers is derived in _grid_f1s.
+# Rounding slack of a grid estimate, in eps per edge term (see _affine_trial).
 _MARGIN_ULPS = 4.0
+
+
+def _affine_trial(
+    graph: StaticGraph, scores: np.ndarray, table: DampingTable, pair: PortPair
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """One adjusted iteration from ``scores`` at ``table`` (``base``), and the
+    vertices the pair's edges touch with their ``delta`` and ``margin``.
+
+    Only the pair's edges change between trials, so a vertex none of them
+    touches sums the same pushes in the same order at every factor and keeps
+    ``base`` bitwise. At factor ``v`` a touched vertex scores
+    ``base + (v - f_old) * delta`` to within half of ``margin``, where
+    ``delta`` is its incoming minus its surrendered share over those edges.
+    """
+    n = graph.n
+    base = adjusted_iteration(graph, scores, table)
+    pair_id = next((i for i, p in enumerate(graph.pairs) if p == pair), -1)
+    on_pair = np.flatnonzero(graph.edge_pair_id == pair_id)
+    src, dst = graph.edge_src[on_pair], graph.edge_dst[on_pair]
+    share = scores[src] / graph.out_degree[src]
+    touched = np.flatnonzero(np.bincount(np.concatenate((src, dst)), minlength=n))
+    delta = (np.bincount(dst, share, n) - np.bincount(src, share, n))[touched]
+    # With u = eps/2, a vertex x with k in- plus out-edges gets an estimate
+    # within (3k + 11)u * A of its exact trial score, where A = 1/n + |p_x| +
+    # the sum of |p_s / d_s| over x's in-edges. As
+    #   k <= max_degree  and  A <= 1/n + 2 * |p|_1  (s has at most d_s edges into x),
+    # that stays under half this margin. Taking 4 * A first makes the margin
+    # inf or nan, forcing a recompute, once a sum could overflow. It is never
+    # below x's own 4 * (k + 3) * eps * A, so it only adds recomputes, and it
+    # grows loose once scores run away (|p|_1 >> 1).
+    margin = (_MARGIN_ULPS * (1.0 / n + 2 * np.abs(scores).sum())) * (
+        (graph.max_degree + 3) * np.finfo(float).eps
+    )
+    return base, touched, delta, margin
 
 
 def _grid_f1s(
@@ -137,46 +170,12 @@ def _grid_f1s(
 ) -> tuple[list[float], np.ndarray]:
     """F1 of each grid value for ``pair`` after one adjusted iteration from
     ``scores``, bit for bit what a full ``adjusted_iteration`` per value gives,
-    and that iteration at the current table (``base``).
-
-    Only the pair's edges change between trials. A vertex that none of them
-    touches sums the same pushes in the same order in every trial, so its
-    score equals the one at the current table (``base``) bitwise. A touched
-    vertex's score is affine in the factor, ``base + (v - f_old) * delta``,
-    where ``delta`` is its incoming minus its surrendered share over the
-    pair's edges. That estimate decides the vertex's class unless it lies
-    within the rounding margin of 1/n or is not finite; then the whole trial
-    is recomputed with ``adjusted_iteration``.
+    and ``base``. Touched vertices take their ``_affine_trial`` estimate
+    unless one lies within the margin of 1/n or is not finite; then the whole
+    trial is recomputed with ``adjusted_iteration``.
     """
-    n = graph.n
-    threshold = 1.0 / n
-    base = adjusted_iteration(graph, scores, table)
-    share = scores[graph.edge_src] / graph.out_degree[graph.edge_src]
-    on_pair = np.flatnonzero(
-        graph.edge_pair_id == (graph.pairs.index(pair) if pair in graph.pairs else -1)
-    )
-    src, dst, pair_share = graph.edge_src[on_pair], graph.edge_dst[on_pair], share[on_pair]
-    touched = np.flatnonzero(np.bincount(np.concatenate((src, dst)), minlength=n))
-    delta = (np.bincount(dst, pair_share, n) - np.bincount(src, pair_share, n))[touched]
-
-    # The margin. With u = eps/2, a vertex x with k = in-degree + out-degree
-    # edges gets its score as fl(fl(t - S) + I), t = fl(1/n), where I and S
-    # are left-to-right sums of pushes fl(fl(f * p) / d) with f in [0, 1].
-    # Let A = t + |p_x| + the sum of |p / d| over x's in-edges; each out-edge
-    # carries p_x / d_x, so A bounds t plus all of x's |pushes| and |shares|.
-    # Standard error analysis puts base and the exact trial each within
-    # (k + 3)u * A of their real values and delta within (k + 2)u * A; the
-    # product and the sum forming the estimate add 3u * A, up to O(u^2). So
-    # the estimate lies within (3k + 11)u * A of the exact trial score. The
-    # margin 4 * (k + 3) * eps * A = (8k + 24)u * A more than doubles that,
-    # which also covers rounding in A and in the margin itself. Taking 4 * A
-    # first makes the margin infinite (so the trial is recomputed) once A is
-    # large enough for a sum to overflow, where the analysis fails; subnormal
-    # results add absolute errors far below eps * t.
-    mass = threshold + np.abs(scores) + np.bincount(graph.edge_dst, np.abs(share), n)
-    terms = np.bincount(graph.edge_dst, minlength=n) + graph.out_degree + 3
-    margin = (_MARGIN_ULPS * mass[touched]) * (terms[touched] * np.finfo(float).eps)
-
+    threshold = 1.0 / graph.n
+    base, touched, delta, margin = _affine_trial(graph, scores, table, pair)
     f_old = table.lookup(pair)
     start = base[touched]
     trial = base.copy()

@@ -49,16 +49,17 @@ class SamplePoint:
 class StreamState:
     """Per-vertex rank mass and active mass; the registry is append-only.
 
-    The masses are ``array('d')``, so a sample reads them through a zero-copy
-    numpy view. An array cannot grow while such a view is alive, so no view
-    may outlive the call that made it.
+    ``rank_mass`` is an ``array('d')``, so a sample reads it through a
+    zero-copy numpy view. An array cannot grow while such a view is alive, so
+    no view may outlive the call that made it. ``active_mass`` is never
+    sampled and stays a list, whose items the update reads without boxing.
     """
 
     def __init__(self):
         self.vertex_index: dict[str, int] = {}
         self.vertices: list[str] = []
         self.rank_mass = array("d")
-        self.active_mass = array("d")
+        self.active_mass: list[float] = []
         self.flows_processed = 0
 
     @property

@@ -38,6 +38,12 @@ def graph_of(edges) -> StaticGraph:
     return build_static_graph(records, retained)
 
 
+def edge_triples(graph: StaticGraph) -> list[tuple[int, int, PortPair]]:
+    """Edge triples (src_vertex, dst_vertex, pair) in stored order."""
+    pairs = [graph.pairs[p] for p in graph.edge_pair_id.tolist()]
+    return list(zip(graph.edge_src.tolist(), graph.edge_dst.tolist(), pairs))
+
+
 def ip_of(i: int) -> str:
     return f"10.50.{i // 256}.{i % 256}"
 
@@ -105,7 +111,7 @@ def adjusted_closed_form(graph: StaticGraph, prev, factor: float):
     n = graph.n
     outdeg = [0] * n
     incoming = [[] for _ in range(n)]
-    for s, d, _ in graph.edges():
+    for s, d, _ in edge_triples(graph):
         outdeg[s] += 1
         incoming[d].append(s)
     result = []

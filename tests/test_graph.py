@@ -21,6 +21,7 @@ from keyterrain.graph import (
 
 from instances import (
     count_port_pairs_by_records,
+    edge_triples,
     flow,
     graph_of,
     random_multigraph,
@@ -83,7 +84,7 @@ class TestBuild:
         a, b = graph.vertex_index["10.0.0.1"], graph.vertex_index["10.0.0.2"]
         assert graph.out_degree[a] == 1
         assert graph.out_degree[b] == 0
-        assert list(graph.edges()) == [(a, b, PortPair(5, 6))]
+        assert edge_triples(graph) == [(a, b, PortPair(5, 6))]
 
     def test_empty_retained_set_is_an_error(self):
         records = [flow("10.0.0.1", "10.0.0.2", 5, 6, 0)]
@@ -124,7 +125,8 @@ class TestBuild:
         graph = graph_of([("10.0.0.1", "10.0.0.1", (5, 6))])
         assert graph.n == 1
         assert graph.out_degree[0] == 1
-        assert list(graph.edges()) == [(0, 0, PortPair(5, 6))]
+        assert graph.max_degree == 2
+        assert edge_triples(graph) == [(0, 0, PortPair(5, 6))]
 
 
 class TestInvariants:
@@ -133,15 +135,18 @@ class TestInvariants:
         rng = random.Random(seed)
         graph = random_multigraph(rng, max_n=20, max_edges=80)
         assert int(graph.out_degree.sum()) == graph.edge_count
-        from_edges = Counter(s for s, _, _ in graph.edges())
+        from_edges = Counter(s for s, _, _ in edge_triples(graph))
         assert all(graph.out_degree[v] == from_edges[v] for v in range(graph.n))
+        # a self-loop puts both of its ends on one vertex
+        ends = Counter(v for s, d, _ in edge_triples(graph) for v in (s, d))
+        assert graph.max_degree == max(ends.values())
 
     @pytest.mark.parametrize("seed", range(5))
     def test_no_isolated_vertices(self, seed):
         rng = random.Random(100 + seed)
         graph = random_multigraph(rng, max_n=20, max_edges=30)
         incident = set()
-        for s, d, _ in graph.edges():
+        for s, d, _ in edge_triples(graph):
             incident.add(s)
             incident.add(d)
         assert incident == set(range(graph.n))
@@ -149,7 +154,7 @@ class TestInvariants:
     def test_every_edge_pair_is_retained(self):
         rng = random.Random(55)
         graph = random_multigraph(rng)
-        for _, _, pair in graph.edges():
+        for _, _, pair in edge_triples(graph):
             assert pair in graph.pairs
 
 

@@ -11,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keyterrain.labels import AddressSet
-from keyterrain.learning import _grid_f1s, choose_conflict_port_pair, grid_values
+from keyterrain.learning import (
+    _affine_trial,
+    _grid_f1s,
+    choose_conflict_port_pair,
+    grid_values,
+)
 from keyterrain.metrics import f1_from_counts, precision_recall_f1, topk_true_positives
 from keyterrain.pagerank import DampingTable, adjusted_iteration, init_scores
 from keyterrain.streaming import StreamConfig, StreamState, run_stream, snapshot
@@ -93,7 +98,7 @@ NON_FINITE = (math.inf, -math.inf, math.nan, 1e308)
 @settings(max_examples=300, deadline=None, database=None)
 @given(
     n=st.integers(min_value=2, max_value=10),
-    scores_kind=st.sampled_from(("uniform", "stepped", "random", "non-finite")),
+    scores_kind=st.sampled_from(("uniform", "stepped", "random", "tiny", "non-finite")),
     symmetric_tie=st.booleans(),
     data=st.data(),
 )
@@ -117,7 +122,9 @@ def test_grid_f1s_match_full_recompute(n, scores_kind, symmetric_tie, data):
         for _ in range(data.draw(st.integers(1, 4))):
             scores = adjusted_iteration(graph, scores, table)
     elif scores_kind != "uniform":
-        unit = st.floats(-1.0, 1.0, allow_nan=False)
+        # tiny scores push less than one ulp of 1/n along every edge
+        bound = 1e-300 if scores_kind == "tiny" else 1.0
+        unit = st.floats(-bound, bound, allow_nan=False)
         scores = np.array(data.draw(st.lists(unit, min_size=graph.n, max_size=graph.n)))
         if scores_kind == "non-finite":
             at = data.draw(st.integers(0, graph.n - 1))
@@ -129,6 +136,52 @@ def test_grid_f1s_match_full_recompute(n, scores_kind, symmetric_tie, data):
     f1s, base = _grid_f1s(graph, scores, table, pair, label_mask, grid)
     assert f1s == grid_f1s_by_full_recompute(graph, scores, table, pair, label_mask, grid)
     np.testing.assert_array_equal(base, adjusted_iteration(graph, scores, table))
+
+
+SCORE_SCALES = {"unit": 1.0, "tiny": 1e-300, "huge": 1e150}
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    hub_edges=st.sampled_from((0, 50, 300)),
+    scale=st.sampled_from(sorted(SCORE_SCALES)),
+    at_threshold=st.booleans(),
+    data=st.data(),
+)
+def test_grid_margin_bounds_the_estimate_error(n, hub_edges, scale, at_threshold, data):
+    vertex = st.integers(0, n - 1)
+    edge = st.tuples(vertex, vertex, st.sampled_from(GRID_PAIRS))
+    edges = data.draw(st.lists(edge, min_size=1, max_size=40))
+    # a self-loop on every graph, and optionally a hub with edges both ways
+    edges.append((0, 0, edges[0][2]))
+    for _ in range(hub_edges):
+        other, pair = data.draw(vertex), data.draw(st.sampled_from(GRID_PAIRS))
+        edges.append((0, other, pair) if data.draw(st.booleans()) else (other, 0, pair))
+    graph = graph_of([(ip_of(u), ip_of(v), pair) for u, v, pair in edges])
+    factor = st.sampled_from(GRID_FACTORS) | st.floats(0.0, 1.0)
+    table = DampingTable({p: data.draw(factor) for p in graph.pairs}, data.draw(factor))
+    threshold = 1.0 / graph.n
+    bound = SCORE_SCALES[scale]
+    score = st.floats(-bound, bound)
+    if at_threshold:
+        score = score | st.just(threshold)
+    scores = np.array(data.draw(st.lists(score, min_size=graph.n, max_size=graph.n)))
+    pair = data.draw(st.sampled_from(graph.pairs))
+
+    base, touched, delta, margin = _affine_trial(graph, scores, table, pair)
+    assert np.isfinite(margin)
+    untouched = np.ones(graph.n, dtype=bool)
+    untouched[touched] = False
+    for value in grid_values(0.05):
+        exact = adjusted_iteration(graph, scores, table.with_factor(pair, value))
+        np.testing.assert_array_equal(exact[untouched], base[untouched])
+        estimate = base[touched] + (value - table.lookup(pair)) * delta
+        accepted = np.abs(estimate - threshold) > margin
+        assert np.all(np.abs(estimate - exact[touched])[accepted] <= margin / 2)
+        assert np.array_equal(
+            (estimate > threshold)[accepted], (exact[touched] > threshold)[accepted]
+        )
 
 
 tied_masses = st.sampled_from((0.0, 1.0, 2.5))

@@ -48,7 +48,7 @@ class TestStreamUpdate:
         table = DampingTable({}, 1.0)
         apply_flow(state, flow("10.0.0.1", "10.0.0.2", 1, 2, 0), table, beta=0.5)
         assert state.rank_mass == array("d", [0.0, 0.0])
-        assert state.active_mass == array("d", [0.0, 0.0])
+        assert state.active_mass == [0.0, 0.0]
 
     def test_beta_one_drains_source(self):
         state = StreamState()
