@@ -7,6 +7,7 @@ import os
 import secrets
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from .flows import ParseStats, dedupe_flows, parse_flow_rows, sort_flows, write_flows
@@ -18,7 +19,7 @@ from .graph import (
     write_edge_list,
 )
 from .labels import AddressSet
-from .learning import LearnConfig, evaluate_classification, learn
+from .learning import HEURISTICS, LearnConfig, evaluate_classification, learn
 from .metrics import write_run_summary
 from .pagerank import (
     DEFAULT_DAMPING,
@@ -137,13 +138,7 @@ def cmd_learn(args) -> int:
     seed = _resolve_seed(args)
     heuristic = args.heuristic.replace("-", "_")
     settings = _effective_config(args, heuristic=heuristic, seed=seed)
-    config = LearnConfig(
-        max_iterations=args.max_iterations,
-        rw_probability=args.rw_probability,
-        heuristic=heuristic,
-        grid_step=args.grid_step,
-        seed=seed,
-    )
+    config = LearnConfig(**{f.name: settings[f.name] for f in fields(LearnConfig)})
 
     started = time.perf_counter()
     labels, graph, info = _learning_inputs(args)
@@ -197,9 +192,7 @@ def cmd_stream(args) -> int:
     )
     labels = AddressSet.from_file(args.labels) if args.labels else None
     local = AddressSet.from_file(args.local_prefixes) if args.local_prefixes else None
-    config = StreamConfig(
-        beta=args.beta, sample_interval=args.sample_interval, top_k=args.top_k
-    )
+    config = StreamConfig(**{f.name: settings[f.name] for f in fields(StreamConfig)})
 
     started = time.perf_counter()
     with open(args.flows, encoding="utf-8", newline="") as fh:
@@ -315,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     learn_p.add_argument("--learn-split", type=float, default=0.70)
     learn_p.add_argument(
         "--heuristic",
-        choices=("minimum", "maximum", "average", "smallest-difference"),
+        choices=[name.replace("_", "-") for name in HEURISTICS],
         default="minimum",
     )
     learn_p.add_argument("--max-iterations", type=int, default=1000)

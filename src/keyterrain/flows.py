@@ -71,7 +71,8 @@ class FlowRecord(_FlowFields):
 
 @dataclass
 class ParseStats:
-    """Counters filled in while parse_flows runs with on_error="skip"."""
+    """Counters of a parse: ``rows`` read and ``parsed`` in either on_error
+    mode; ``skipped`` and the first recorded ``errors`` with on_error="skip"."""
 
     rows: int = 0
     parsed: int = 0
@@ -188,9 +189,10 @@ def parse_flow_rows(
     arity = len(header)
     canonical_ips: dict[str, str] = {}
     cached_ip = canonical_ips.get
-    # An IP costs one lookup on its raw text once seen, a port or timestamp
-    # one plain int(). The helpers run only when that fails or a port is out
-    # of range, and they alone word every field error.
+    # An IP costs one lookup on its raw text once seen. The ports and
+    # timestamps cost one plain int() each; when any of them fails or a port
+    # is out of range, the helpers read all four in field order, and they
+    # alone word every field error.
     for row in reader:
         stats.rows += 1
         try:
@@ -200,23 +202,15 @@ def parse_flow_rows(
             dst_ip = cached_ip(row[i_dst]) or _canonical_ip(row[i_dst], canonical_ips)
             try:
                 src_port = int(row[i_sport])
-            except ValueError:
-                src_port = -1
-            if not 0 <= src_port <= 65535:
-                src_port = _parse_port(row[i_sport])
-            try:
                 dst_port = int(row[i_dport])
-            except ValueError:
-                dst_port = -1
-            if not 0 <= dst_port <= 65535:
-                dst_port = _parse_port(row[i_dport])
-            try:
                 start_ts = int(row[i_start])
-            except ValueError:
-                start_ts = _parse_timestamp(row[i_start])
-            try:
                 end_ts = int(row[i_end])
+                if not (0 <= src_port <= 65535 and 0 <= dst_port <= 65535):
+                    raise ValueError
             except ValueError:
+                src_port = _parse_port(row[i_sport])
+                dst_port = _parse_port(row[i_dport])
+                start_ts = _parse_timestamp(row[i_start])
                 end_ts = _parse_timestamp(row[i_end])
             if start_ts > end_ts:
                 raise ValueError(f"start_ts {start_ts} after end_ts {end_ts}")
@@ -259,16 +253,15 @@ def write_flows(records: Iterable[FlowRow], out: IO[str]) -> int:
 _SPILL_BATCH = 4096
 
 
-def _spill_run(chunk: list[FlowRow], sort_key, run: int) -> IO[bytes]:
+def _spill_run(chunk: list[FlowRow]) -> IO[bytes]:
     spill = tempfile.TemporaryFile()
     for lo in range(0, len(chunk), _SPILL_BATCH):
-        batch = [(sort_key(rec), run, rec) for rec in chunk[lo : lo + _SPILL_BATCH]]
-        pickle.dump(batch, spill, pickle.HIGHEST_PROTOCOL)
+        pickle.dump(chunk[lo : lo + _SPILL_BATCH], spill, pickle.HIGHEST_PROTOCOL)
     spill.seek(0)
     return spill
 
 
-def _read_run(spill: IO[bytes]) -> Iterator[tuple]:
+def _read_run(spill: IO[bytes]) -> Iterator[FlowRow]:
     while True:
         try:
             batch = pickle.load(spill)
@@ -284,11 +277,13 @@ def sort_flows(
 ) -> Iterator[FlowRow]:
     """Stable sort by the chosen timestamp; key="none" passes input through unchanged.
 
-    Inputs larger than ``chunk_size`` records are sorted in chunks spilled to
-    temporary files and merged back one batch per chunk at a time, so the
-    full input never has to fit in memory. Ties keep their original relative
-    order in either path, and each record comes back as the object it went
-    in as (a FlowRecord or a plain row).
+    Records are sorted in chunks of ``chunk_size``. Once the input outgrows
+    one chunk, every chunk is spilled to a temporary file, so the full input
+    never has to fit in memory. The sorted chunks are merged by timestamp,
+    one batch per spilled chunk at a time; the merge breaks ties by chunk
+    order, so ties keep their input order and records are never compared.
+    Each record comes back as the object it went in as (a FlowRecord or a
+    plain row).
     """
     if key == "none":
         yield from records
@@ -304,20 +299,13 @@ def sort_flows(
             chunk.append(rec)
             if len(chunk) >= chunk_size:
                 chunk.sort(key=sort_key)
-                spills.append(_spill_run(chunk, sort_key, len(spills)))
+                spills.append(_spill_run(chunk))
                 chunk = []
         chunk.sort(key=sort_key)
-        if not spills:
-            yield from chunk
-            return
-        if chunk:
-            spills.append(_spill_run(chunk, sort_key, len(spills)))
-        del chunk
-        # Spilled items are (sort key, run index, record) and runs are numbered
-        # in input order, so a plain tuple merge keeps ties in input order and
-        # never compares records.
-        for _, _, rec in heapq.merge(*(_read_run(f) for f in spills)):
-            yield rec
+        if spills and chunk:
+            spills.append(_spill_run(chunk))
+            chunk = []
+        yield from heapq.merge(*map(_read_run, spills), chunk, key=sort_key)
     finally:
         for spill in spills:
             spill.close()

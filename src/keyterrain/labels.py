@@ -27,13 +27,16 @@ class AddressSet:
         self.addresses: set[str] = set()
         self.networks: list = []
         for raw in entries:
-            entry = raw.strip()
-            if not entry:
-                continue
-            try:
-                self.addresses.add(str(ipaddress.ip_address(entry)))
-            except ValueError:
-                self.networks.append(ipaddress.ip_network(entry, strict=False))
+            self._add(raw)
+
+    def _add(self, raw: str) -> None:
+        entry = raw.strip()
+        if not entry:
+            return
+        try:
+            self.addresses.add(str(ipaddress.ip_address(entry)))
+        except ValueError:
+            self.networks.append(ipaddress.ip_network(entry, strict=False))
 
     def __contains__(self, ip: str) -> bool:
         packed = packed_ipv4(ip)
@@ -62,14 +65,16 @@ class AddressSet:
         """Load one IP or CIDR per line; ``#`` starts a comment.
 
         A file with no entries is an error: an empty label set makes every
-        F1 meaningless, and an empty prefix set matches nothing.
+        F1 meaningless, and an empty prefix set matches nothing. A malformed
+        entry is reported with the file and its line number.
         """
-        entries = []
+        found = cls(())
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                text = line.split("#", 1)[0].strip()
-                if text:
-                    entries.append(text)
-        if not entries:
+            for line_no, line in enumerate(fh, start=1):
+                try:
+                    found._add(line.split("#", 1)[0])
+                except ValueError as exc:
+                    raise ValueError(f"address file {path} line {line_no}: {exc}") from None
+        if not found:
             raise ValueError(f"address file {path} has no entries")
-        return cls(entries)
+        return found

@@ -47,8 +47,8 @@ def write_damping_table(table: DampingTable, out: IO[str]) -> None:
     tables always produce byte-identical files.
     """
     out.write(f"default,{table.default_factor!r}\n")
-    for pair in sorted(table.factors):
-        out.write(f"{pair.src_port},{pair.dst_port},{table.factors[pair]!r}\n")
+    for src, dst in sorted(table.factors):
+        out.write(f"{src},{dst},{table.factors[src, dst]!r}\n")
 
 
 def save_damping_table(table: DampingTable, path) -> None:
@@ -57,8 +57,11 @@ def save_damping_table(table: DampingTable, path) -> None:
 
 
 def read_damping_table(lines: Iterable[str]) -> DampingTable:
+    """Parse ``write_damping_table`` output. A malformed line, a factor
+    outside [0, 1] and a repeated pair or default line are rejected with
+    their line number."""
     factors: dict[PortPair, float] = {}
-    default = DEFAULT_DAMPING
+    default = None
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -68,15 +71,21 @@ def read_damping_table(lines: Iterable[str]) -> DampingTable:
             if parts[0] == "default":
                 if len(parts) != 2:
                     raise ValueError("default line needs exactly one value")
+                if default is not None:
+                    raise ValueError("repeated default line")
                 default = float(parts[1])
+                check_damping(default)
             elif len(parts) == 3:
                 pair = PortPair(_parse_port(parts[0]), _parse_port(parts[1]))
+                if pair in factors:
+                    raise ValueError(f"repeated pair {tuple(pair)}")
                 factors[pair] = float(parts[2])
+                check_damping(factors[pair])
             else:
                 raise ValueError("expected 'src_port,dst_port,factor' or 'default,value'")
         except ValueError as exc:
             raise ValueError(f"damping table line {line_no}: {exc}") from None
-    return DampingTable(factors, default)
+    return DampingTable(factors, DEFAULT_DAMPING if default is None else default)
 
 
 def load_damping_table(path) -> DampingTable:

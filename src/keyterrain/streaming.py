@@ -121,7 +121,7 @@ def _take_sample(
     f1 = None
     topk_tp = None
     if labels is not None:
-        label_flags.extend(ip in labels for ip in state.vertices[len(label_flags):])
+        label_flags.extend(labels.mask(state.vertices[len(label_flags):]))
         labeled = np.frombuffer(label_flags, dtype=bool)
         f1 = mask_f1(classify(scores), labeled) if state.n else 0.0
         topk_tp = int(np.count_nonzero(labeled[top_ids]))

@@ -510,24 +510,47 @@ class TestBaseline:
         assert not (tmp_path / "base").exists()
 
 
-@pytest.mark.parametrize("case", ["learn", "baseline", "stream-labels", "stream-local-prefixes"])
+def address_file_args(case, path, labels_path):
+    """Command-line options of ``case`` that read ``path`` as an address file."""
+    graph = ["--pair-fraction", "0.01", "--learn-split", "1.0"]
+    return {
+        "learn": ["learn", "--labels", str(path), *graph],
+        "baseline": ["baseline", "--labels", str(path), *graph],
+        "stream-labels": ["stream", "--default-factors", "--labels", str(path)],
+        "stream-local-prefixes": [
+            "stream", "--default-factors", "--labels", str(labels_path),
+            "--local-prefixes", str(path),
+        ],
+    }[case]
+
+
+ADDRESS_FILE_CASES = ["learn", "baseline", "stream-labels", "stream-local-prefixes"]
+
+
+@pytest.mark.parametrize("case", ADDRESS_FILE_CASES)
 def test_empty_labels_file(star_files, tmp_path, capsys, case):
     flows_path, labels_path = star_files
     empty = tmp_path / "empty.txt"
     empty.write_text("# nothing\n")
-    graph = ["--pair-fraction", "0.01", "--learn-split", "1.0"]
-    args = {
-        "learn": ["learn", "--labels", str(empty), *graph],
-        "baseline": ["baseline", "--labels", str(empty), *graph],
-        "stream-labels": ["stream", "--default-factors", "--labels", str(empty)],
-        "stream-local-prefixes": [
-            "stream", "--default-factors", "--labels", str(labels_path),
-            "--local-prefixes", str(empty),
-        ],
-    }[case]
     out = tmp_path / "out"
+    args = address_file_args(case, empty, labels_path)
     assert main([*args, "--flows", str(flows_path), "--out", str(out)]) == 1
     assert "no entries" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ADDRESS_FILE_CASES)
+def test_malformed_address_entry_names_file_and_line(star_files, tmp_path, capsys, case):
+    flows_path, labels_path = star_files
+    bad = tmp_path / "bad.txt"
+    bad.write_text("# hosts\n10.0.0.1\n10.0.0.x  # typo\n")
+    out = tmp_path / "out"
+    args = address_file_args(case, bad, labels_path)
+    assert main([*args, "--flows", str(flows_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: address file {bad} line 3: "
+        "'10.0.0.x' does not appear to be an IPv4 or IPv6 network\n"
+    )
     assert not out.exists()
 
 

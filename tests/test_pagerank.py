@@ -359,6 +359,13 @@ class TestDampingTable:
         buf.seek(0)
         assert read_damping_table(buf) == table
 
+    def test_tuple_keyed_table_round_trips(self, tmp_path):
+        # the constructor and lookup take plain (src, dst) keys as well
+        table = DampingTable({(443, 50000): 0.05, (80, 443): 0.3}, 0.7)
+        path = tmp_path / "factors.csv"
+        save_damping_table(table, path)
+        assert load_damping_table(path) == table
+
     def test_file_round_trip(self, tmp_path):
         table = DampingTable({P: 0.123456789012345}, 0.7)
         path = tmp_path / "factors.csv"
@@ -383,6 +390,26 @@ class TestDampingTable:
     def test_malformed_lines_rejected(self, line):
         with pytest.raises(ValueError, match="line 1|out of"):
             read_damping_table([line])
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("80,443,0.5\n", "repeated pair (80, 443)"),
+            ("default,0.5\n", "repeated default line"),
+            ("22,80,1.5\n", "damping out of [0, 1]: 1.5"),
+            ("22,80,nan\n", "damping out of [0, 1]: nan"),
+        ],
+    )
+    def test_bad_third_line_rejected_with_its_number(self, line, message):
+        lines = ["default,0.85\n", "80,443,0.3\n", line]
+        with pytest.raises(ValueError) as info:
+            read_damping_table(lines)
+        assert str(info.value) == f"damping table line 3: {message}"
+
+    def test_bad_default_rejected_with_its_number(self):
+        with pytest.raises(ValueError) as info:
+            read_damping_table(["80,443,0.3\n", "default,-0.1\n"])
+        assert str(info.value) == "damping table line 2: damping out of [0, 1]: -0.1"
 
     def test_bad_port_worded_like_a_flow_port(self):
         with pytest.raises(ValueError, match=r"^damping table line 2: bad port 'x'$"):
