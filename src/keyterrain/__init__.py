@@ -50,6 +50,7 @@ from .pagerank import (
     DampingTable,
     adjusted_iteration,
     classify,
+    contraction_bound,
     default_iteration,
     init_scores,
     load_damping_table,

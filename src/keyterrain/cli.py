@@ -26,6 +26,7 @@ from .pagerank import (
     DampingTable,
     check_damping,
     check_stop_rule,
+    contraction_bound,
     load_damping_table,
     run_adjusted_to_convergence,
     run_to_convergence,
@@ -263,9 +264,20 @@ def cmd_baseline(args) -> int:
     summary = {"command": "baseline", "config": settings, "graph": info}
     for key, name, res in runs:
         f1, _ = evaluate_classification(res.scores, graph, labels)
+        mass = float(res.scores.sum())
         state = "converged" if res.converged else "did not converge"
-        print(f"{name}: F1 {f1:.4f} ({state} after {res.iterations} iterations)")
-        summary[key] = {"f1": f1, "converged": res.converged, "iterations": res.iterations}
+        print(
+            f"{name}: F1 {f1:.4f} ({state} after {res.iterations} iterations, "
+            f"last L1 change {res.delta:.3g}, mass {mass:.15g})"
+        )
+        # JSON has no infinity: a run of no steps records no change
+        summary[key] = {
+            "f1": f1, "converged": res.converged, "iterations": res.iterations,
+            "delta": res.delta if res.iterations else None, "mass": mass,
+        }
+    bound = contraction_bound(graph, uniform)
+    print(f"adjusted step contraction bound ||M||_1 = {bound:.4g}")
+    summary["adjusted_uniform"]["contraction_bound"] = bound
 
     if args.out:
         out_dir = Path(args.out)

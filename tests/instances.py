@@ -122,6 +122,38 @@ def adjusted_closed_form(graph: StaticGraph, prev, factor: float):
     return result
 
 
+def adjusted_linear_part(graph: StaticGraph, table: DampingTable) -> np.ndarray:
+    """Dense M of the adjusted step written as x -> 1/n + Mx, from the edge list.
+
+    Each edge u -> v with factor f moves f/out_degree(u) of u's score: it
+    adds that share at row v of column u and takes it off the diagonal, so a
+    self-loop adds and removes the same share.
+    """
+    triples = edge_triples(graph)
+    outdeg = Counter(s for s, _, _ in triples)
+    m = np.zeros((graph.n, graph.n))
+    for s, d, pair in triples:
+        share = table.lookup(pair) / outdeg[s]
+        m[d, s] += share
+        m[s, s] -= share
+    return m
+
+
+def adjusted_fixed_point(graph: StaticGraph, table: DampingTable) -> np.ndarray:
+    """The adjusted step's unique fixed point, by a dense solve of (I - M)x = 1/n."""
+    n = graph.n
+    return np.linalg.solve(np.eye(n) - adjusted_linear_part(graph, table), np.full(n, 1.0 / n))
+
+
+def step_rounding(graph: StaticGraph, *vectors) -> float:
+    """Generous L1 bound on the rounding error of one adjusted or half step
+    from, or of summing, vectors no larger than ``vectors`` (L1): each vertex
+    sums 1/n and at most max_degree pushes, and a sum of n terms rounds each
+    term up to n times."""
+    size = max(float(np.abs(v).sum()) for v in vectors)
+    return 4 * (graph.max_degree + graph.n + 3) * np.finfo(float).eps * (1.0 + 2.0 * size)
+
+
 STAR_SERVER = "10.0.0.1"
 STAR_CLIENTS = [f"10.0.1.{i}" for i in range(1, 21)]
 STAR_SINK = "10.0.2.1"

@@ -444,6 +444,29 @@ class TestBaseline:
 
         assert iterations("0.001") <= iterations("1e-12")
 
+    @pytest.mark.parametrize("max_iterations", ["100", "0"])
+    def test_records_stop_diagnostics_as_strict_json(self, star_files, tmp_path, max_iterations):
+        flows_path, labels_path = star_files
+        out_dir = tmp_path / "base"
+        assert main(
+            [
+                "baseline", "--flows", str(flows_path), "--labels", str(labels_path),
+                "--pair-fraction", "0.01", "--learn-split", "1.0",
+                "--max-iterations", max_iterations, "--out", str(out_dir),
+            ]
+        ) == 0
+        # Infinity and NaN are not JSON
+        payload = json.loads((out_dir / "baseline.json").read_text(), parse_constant=pytest.fail)
+        adjusted = payload["adjusted_uniform"]
+        assert adjusted["contraction_bound"] == pytest.approx(1.7, abs=1e-12)
+        assert adjusted["mass"] == pytest.approx(1.0, abs=1e-12)
+        if max_iterations == "0":
+            assert adjusted["delta"] is None
+            assert payload["default_pagerank"]["delta"] is None
+        else:
+            assert adjusted["converged"]
+            assert adjusted["delta"] < 1e-9
+
     @pytest.mark.parametrize("split", ["1.5", "-0.2", "0"])
     def test_learn_split_out_of_range(self, star_files, tmp_path, capsys, split):
         _, labels_path = star_files

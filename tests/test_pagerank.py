@@ -12,6 +12,7 @@ from keyterrain.pagerank import (
     DampingTable,
     adjusted_iteration,
     classify,
+    contraction_bound,
     default_iteration,
     init_scores,
     load_damping_table,
@@ -23,12 +24,16 @@ from keyterrain.pagerank import (
 )
 
 from instances import (
+    PORT_POOL,
     adjusted_closed_form,
+    adjusted_fixed_point,
+    adjusted_linear_part,
     dense_power_iteration,
     graph_of,
     ip_of,
     random_damping_table,
     random_multigraph,
+    step_rounding,
     without_dangling,
 )
 
@@ -278,31 +283,109 @@ class TestConvergence:
         with pytest.raises(ValueError, match="max_iters must be non-negative"):
             drive(driver, three_vertex(), max_iters=-5)
 
-    def test_adjusted_driver_steps_like_adjusted_iteration(self):
-        # the driver resolves the table once per run; every step must still
-        # be bit for bit one adjusted_iteration, and stop at the same step
+    def test_adjusted_driver_takes_half_steps(self):
+        # the driver merges parallel edges once per run, so after k steps it
+        # matches k half steps of adjusted_iteration up to rounding, which the
+        # contraction keeps from accumulating; and it stops at the first step
+        # whose change is under the tolerance
         rng = random.Random(5)
         for _ in range(20):
             graph = random_multigraph(rng, max_n=12, max_edges=40)
             table = random_damping_table(rng, graph)
-            tolerance = rng.choice([1e-3, 1e-9, 1e-15])
-            result = run_adjusted_to_convergence(graph, table, tolerance, max_iters=60)
             scores = init_scores(graph)
-            for i in range(1, 61):
-                nxt = adjusted_iteration(graph, scores, table)
+            for k in range(1, 31):
+                nxt = 0.5 * (scores + adjusted_iteration(graph, scores, table))
                 delta = float(np.sum(np.abs(nxt - scores)))
                 scores = nxt
-                if delta < tolerance:
+                result = run_adjusted_to_convergence(graph, table, 1e-300, max_iters=k)
+                slack = 4 * step_rounding(graph, scores)
+                assert float(np.sum(np.abs(result.scores - scores))) <= slack
+                assert abs(result.delta - delta) <= 2 * slack
+            tolerance = rng.choice([1e-3, 1e-9, 1e-15])
+            result = run_adjusted_to_convergence(graph, table, tolerance, max_iters=60)
+            assert result.converged == (result.delta < tolerance)
+            if result.iterations > 1:
+                before = run_adjusted_to_convergence(
+                    graph, table, tolerance, max_iters=result.iterations - 1
+                )
+                assert not before.delta < tolerance
+
+    def test_adjusted_driver_reaches_the_fixed_point(self):
+        # the half step contracts by 1/2, so a converged vector lies within
+        # its last change of the fixed point, up to the step's rounding
+        rng = random.Random(9)
+        for _ in range(100):
+            graph = random_multigraph(rng)
+            table = random_damping_table(rng, graph)
+            tolerance = rng.choice([1e-6, 1e-12, 1e-15])
+            result = run_adjusted_to_convergence(graph, table, tolerance, max_iters=100)
+            assert result.converged
+            fixed = adjusted_fixed_point(graph, table)
+            gap = float(np.sum(np.abs(result.scores - fixed)))
+            assert gap <= tolerance + 2 * step_rounding(graph, fixed)
+
+    def test_adjusted_driver_converges_at_1e_15_past_a_parallel_edge_hub(self):
+        # a hub on half of 50k edges: summed edge by edge, its incoming
+        # share rounds differently at every step, and half steps of
+        # adjusted_iteration stall near 1.2e-15 here; merged per neighbour
+        # the driver's change falls to about 1.6e-17
+        rng = random.Random(5)
+        rows = []
+        for _ in range(50_000):
+            u, v = rng.randrange(300), 0 if rng.random() < 0.5 else rng.randrange(300)
+            if rng.random() < 0.5:
+                u, v = v, u
+            rows.append((u, v, rng.choice(PORT_POOL), rng.choice(PORT_POOL)))
+        graph = StaticGraph([ip_of(i) for i in range(300)], rows)
+        result = run_adjusted_to_convergence(graph, DampingTable(), 1e-15, max_iters=50)
+        assert result.converged
+        assert abs(result.scores.sum() - 1.0) <= 1e-14
+
+    def test_drivers_agree_where_the_plain_step_converges(self):
+        # plain steps x -> 1/n + Mx stop with x_K - x* = M (M - I)^-1 (x_K - x_K-1),
+        # so the plain run's own error is up to ||M (I - M)^-1||_1 times its
+        # last change
+        rng = random.Random(13)
+        tolerance = 1e-12
+        agreed = 0
+        for _ in range(60):
+            graph = random_multigraph(rng, max_n=20, max_edges=80)
+            table = random_damping_table(rng, graph)
+            plain = init_scores(graph)
+            for _ in range(3000):
+                nxt = adjusted_iteration(graph, plain, table)
+                delta = float(np.sum(np.abs(nxt - plain)))
+                plain = nxt
+                if not delta >= tolerance:
                     break
-            assert result.iterations == i
-            assert result.converged == (delta < tolerance)
-            assert result.scores.tobytes() == scores.tobytes()
+            if not delta < tolerance:
+                continue
+            m = adjusted_linear_part(graph, table)
+            spread = np.abs(m @ np.linalg.inv(np.eye(graph.n) - m)).sum(axis=0).max()
+            half = run_adjusted_to_convergence(graph, table, tolerance, max_iters=100).scores
+            gap = float(np.sum(np.abs(half - plain)))
+            assert gap <= (1 + spread) * tolerance + 4 * step_rounding(graph, plain)
+            agreed += 1
+        assert agreed >= 30
+
+    def test_two_cycle_plain_step_oscillates_half_step_contracts(self):
+        # A <-> B at 0.85: M has eigenvalue -1.7, so a plain step multiplies
+        # the deviation from the fixed point by -1.7 and a half step by -0.35
+        graph = two_cycle()
+        table = DampingTable()
+        assert contraction_bound(graph, table) == pytest.approx(1.7, abs=1e-15)
+        scores = np.array([0.6, 0.4])
+        plain = adjusted_iteration(graph, scores, table)
+        assert plain - 0.5 == pytest.approx(-1.7 * (scores - 0.5), abs=1e-15)
+        half = 0.5 * (scores + plain)
+        assert half - 0.5 == pytest.approx(-0.35 * (scores - 0.5), abs=1e-15)
 
     @pytest.mark.parametrize("driver", ["default", "adjusted"])
     def test_zero_max_iters_returns_uniform_start(self, driver):
         result = drive(driver, three_vertex(), max_iters=0)
         assert not result.converged
         assert result.iterations == 0
+        assert result.delta == float("inf")
         assert result.scores.tolist() == [1 / 3] * 3
 
 

@@ -1,5 +1,6 @@
 """Property tests: the mask-based F1, conflict draw and incremental grid search
-against direct oracles, and the stream sampler against a full ranking."""
+against direct oracles, the stream sampler against a full ranking, and the
+contraction and mass conservation of the adjusted steps."""
 
 import math
 import random
@@ -18,16 +19,24 @@ from keyterrain.learning import (
     grid_values,
 )
 from keyterrain.metrics import f1_from_counts, precision_recall_f1, topk_true_positives
-from keyterrain.pagerank import DampingTable, adjusted_iteration, init_scores
+from keyterrain.pagerank import (
+    DampingTable,
+    adjusted_iteration,
+    contraction_bound,
+    init_scores,
+    run_adjusted_to_convergence,
+)
 from keyterrain.streaming import StreamConfig, StreamState, run_stream, snapshot
 
 from instances import (
+    adjusted_linear_part,
     conflict_pair_by_index_set,
     flow,
     graph_of,
     grid_f1s_by_full_recompute,
     ip_of,
     random_multigraph,
+    step_rounding,
     stream_masses_by_rule,
 )
 
@@ -182,6 +191,70 @@ def test_grid_margin_bounds_the_estimate_error(n, hub_edges, scale, at_threshold
         assert np.array_equal(
             (estimate > threshold)[accepted], (exact[touched] > threshold)[accepted]
         )
+
+
+def multigraph_with_loop_and_sink(data, n):
+    """A drawn multigraph over n vertices with a self-loop and a sink, and a
+    drawn damping table for it."""
+    vertex = st.integers(0, n - 1)
+    edges = data.draw(
+        st.lists(st.tuples(vertex, vertex, st.sampled_from(GRID_PAIRS)), min_size=1, max_size=60)
+    )
+    # vertex n only receives
+    edges += [(0, 0, edges[0][2]), (0, n, edges[0][2])]
+    graph = graph_of([(ip_of(u), ip_of(v), pair) for u, v, pair in edges])
+    factor = st.sampled_from(GRID_FACTORS) | st.floats(0.0, 1.0)
+    return graph, DampingTable({p: data.draw(factor) for p in graph.pairs}, data.draw(factor))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    tolerance=st.sampled_from((1e-3, 1e-6, 1e-9, 1e-12)),
+    data=st.data(),
+)
+def test_half_step_change_halves_and_bounds_the_run(n, tolerance, data):
+    graph, table = multigraph_with_loop_and_sink(data, n)
+    prev = scores = init_scores(graph)
+    changes = []
+    for _ in range(40):
+        nxt = 0.5 * (scores + adjusted_iteration(graph, scores, table))
+        changes.append(float(np.sum(np.abs(nxt - scores))))
+        if len(changes) > 1:
+            assert changes[-1] <= changes[-2] / 2 + 2 * step_rounding(graph, prev, scores, nxt)
+        assert abs(nxt.sum() - 1.0) <= step_rounding(graph, scores, nxt)
+        prev, scores = scores, nxt
+
+    result = run_adjusted_to_convergence(graph, table, tolerance, max_iters=100)
+    assert result.converged
+    first = changes[0]
+    bound = 1 if first < tolerance else math.floor(math.log2(first / tolerance)) + 2
+    assert result.iterations <= bound
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(n=st.integers(min_value=1, max_value=12), data=st.data())
+def test_plain_step_conserves_mass_while_bounded(n, data):
+    # a plain step's output sums to 1 whatever its input sums to, so the
+    # error never accumulates; a runaway trajectory is followed to 1e6
+    graph, table = multigraph_with_loop_and_sink(data, n)
+    scores = init_scores(graph)
+    for _ in range(40):
+        nxt = adjusted_iteration(graph, scores, table)
+        if np.sum(np.abs(nxt)) > 1e6:
+            break
+        assert abs(nxt.sum() - 1.0) <= step_rounding(graph, scores, nxt)
+        scores = nxt
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(n=st.integers(min_value=1, max_value=12), data=st.data())
+def test_contraction_bound_is_the_column_norm(n, data):
+    graph, table = multigraph_with_loop_and_sink(data, n)
+    m = adjusted_linear_part(graph, table)
+    bound = contraction_bound(graph, table)
+    assert bound == pytest.approx(np.abs(m).sum(axis=0).max(), rel=0.0, abs=1e-12)
+    assert np.abs(np.linalg.eigvals(m)).max() <= bound * (1 + 1e-9) + 1e-12
 
 
 tied_masses = st.sampled_from((0.0, 1.0, 2.5))
