@@ -10,29 +10,11 @@ import time
 from dataclasses import fields
 from pathlib import Path
 
+# Building the parser and running prepare need only these two modules. The
+# other commands import the numpy-backed modules they use inside their own
+# functions, so prepare never loads numpy.
+from .constants import DEFAULT_DAMPING, HEURISTICS
 from .flows import ParseStats, dedupe_flows, parse_flow_rows, sort_flows, write_flows
-from .graph import (
-    build_static_graph,
-    check_fraction,
-    count_port_pairs,
-    filter_port_pairs,
-    write_edge_list,
-)
-from .labels import AddressSet
-from .learning import HEURISTICS, LearnConfig, evaluate_classification, learn
-from .metrics import write_run_summary
-from .pagerank import (
-    DEFAULT_DAMPING,
-    DampingTable,
-    check_damping,
-    check_stop_rule,
-    contraction_bound,
-    load_damping_table,
-    run_adjusted_to_convergence,
-    run_to_convergence,
-    save_damping_table,
-)
-from .streaming import StreamConfig, run_stream, write_samples_csv, write_topk_csv
 
 SEED_ENV_VAR = "KEYTERRAIN_SEED"
 
@@ -112,6 +94,9 @@ def cmd_prepare(args) -> int:
 def _learning_inputs(args):
     """Front end of learn and baseline: check the graph options, load the
     labels, then split, dedupe, census, filter and build the learning graph."""
+    from .graph import build_static_graph, check_fraction, count_port_pairs, filter_port_pairs
+    from .labels import AddressSet
+
     if not 0.0 < args.learn_split <= 1.0:
         raise ValueError(f"--learn-split must be in (0, 1], got {args.learn_split}")
     check_fraction(args.pair_fraction)
@@ -136,6 +121,11 @@ def _learning_inputs(args):
 
 
 def cmd_learn(args) -> int:
+    from .graph import write_edge_list
+    from .learning import LearnConfig, learn
+    from .metrics import write_run_summary
+    from .pagerank import save_damping_table
+
     seed = _resolve_seed(args)
     heuristic = args.heuristic.replace("-", "_")
     settings = _effective_config(args, heuristic=heuristic, seed=seed)
@@ -185,6 +175,11 @@ def cmd_learn(args) -> int:
 
 
 def cmd_stream(args) -> int:
+    from .labels import AddressSet
+    from .metrics import write_run_summary
+    from .pagerank import DampingTable, load_damping_table
+    from .streaming import StreamConfig, run_stream, write_samples_csv, write_topk_csv
+
     if (args.factors is None) != args.default_factors:
         raise ValueError("give exactly one of --factors and --default-factors")
     table = DampingTable() if args.default_factors else load_damping_table(args.factors)
@@ -247,6 +242,17 @@ def cmd_stream(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    from .learning import evaluate_classification
+    from .metrics import write_run_summary
+    from .pagerank import (
+        DampingTable,
+        check_damping,
+        check_stop_rule,
+        contraction_bound,
+        run_adjusted_to_convergence,
+        run_to_convergence,
+    )
+
     settings = _effective_config(args)
     check_stop_rule(args.tolerance, args.max_iterations)
     check_damping(args.damping)

@@ -8,7 +8,6 @@ import ipaddress
 import pickle
 import tempfile
 from dataclasses import dataclass, field
-from itertools import count
 from operator import itemgetter
 from socket import AF_INET, inet_ntop, inet_pton
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple
@@ -158,10 +157,10 @@ def parse_flow_rows(
     exports be ingested by simply not mapping the reverse-direction counters.
 
     Rows are streamed, never buffered, and hold what a FlowRecord checks:
-    ports in range and start no later than end. A malformed row (wrong
-    arity, unparsable IP/port/timestamp, start after end) raises
-    FlowParseError when ``on_error`` is "abort", or is counted in ``stats``
-    and skipped when it is "skip".
+    ports in range and start no later than end. A malformed row (a line the
+    csv tokenizer rejects, wrong arity, unparsable IP/port/timestamp, start
+    after end) raises FlowParseError when ``on_error`` is "abort", or is
+    counted in ``stats`` and skipped when it is "skip".
     """
     if on_error not in ("abort", "skip"):
         raise ValueError(f"on_error must be 'abort' or 'skip', got {on_error!r}")
@@ -170,6 +169,8 @@ def parse_flow_rows(
         header = [name.strip() for name in next(reader)]
     except StopIteration:
         raise FlowParseError(1, "missing header row") from None
+    except csv.Error as exc:
+        raise FlowParseError(reader.line_num, str(exc)) from exc
 
     mapping = dict(columns or {})
     unknown = set(mapping) - set(CANONICAL_COLUMNS)
@@ -189,38 +190,48 @@ def parse_flow_rows(
     arity = len(header)
     canonical_ips: dict[str, str] = {}
     cached_ip = canonical_ips.get
-    # An IP costs one lookup on its raw text once seen. The ports and
-    # timestamps cost one plain int() each; when any of them fails or a port
-    # is out of range, the helpers read all four in field order, and they
-    # alone word every field error.
-    for row in reader:
-        stats.rows += 1
+    # The tokenizer raises csv.Error on a field over csv.field_size_limit() or
+    # a bare CR in an unquoted field; the reader resumes on the next line.
+    while True:
         try:
-            if len(row) != arity:
-                raise ValueError(f"expected {arity} fields, got {len(row)}")
-            src_ip = cached_ip(row[i_src]) or _canonical_ip(row[i_src], canonical_ips)
-            dst_ip = cached_ip(row[i_dst]) or _canonical_ip(row[i_dst], canonical_ips)
-            try:
-                src_port = int(row[i_sport])
-                dst_port = int(row[i_dport])
-                start_ts = int(row[i_start])
-                end_ts = int(row[i_end])
-                if not (0 <= src_port <= 65535 and 0 <= dst_port <= 65535):
-                    raise ValueError
-            except ValueError:
-                src_port = _parse_port(row[i_sport])
-                dst_port = _parse_port(row[i_dport])
-                start_ts = _parse_timestamp(row[i_start])
-                end_ts = _parse_timestamp(row[i_end])
-            if start_ts > end_ts:
-                raise ValueError(f"start_ts {start_ts} after end_ts {end_ts}")
-        except ValueError as exc:
+            # An IP costs one lookup on its raw text once seen. The ports and
+            # timestamps cost one plain int() each; when any of them fails or a
+            # port is out of range, the helpers read all four in field order,
+            # and they alone word every field error.
+            for row in reader:
+                stats.rows += 1
+                try:
+                    if len(row) != arity:
+                        raise ValueError(f"expected {arity} fields, got {len(row)}")
+                    src_ip = cached_ip(row[i_src]) or _canonical_ip(row[i_src], canonical_ips)
+                    dst_ip = cached_ip(row[i_dst]) or _canonical_ip(row[i_dst], canonical_ips)
+                    try:
+                        src_port = int(row[i_sport])
+                        dst_port = int(row[i_dport])
+                        start_ts = int(row[i_start])
+                        end_ts = int(row[i_end])
+                        if not (0 <= src_port <= 65535 and 0 <= dst_port <= 65535):
+                            raise ValueError
+                    except ValueError:
+                        src_port = _parse_port(row[i_sport])
+                        dst_port = _parse_port(row[i_dport])
+                        start_ts = _parse_timestamp(row[i_start])
+                        end_ts = _parse_timestamp(row[i_end])
+                    if start_ts > end_ts:
+                        raise ValueError(f"start_ts {start_ts} after end_ts {end_ts}")
+                except ValueError as exc:
+                    if on_error == "abort":
+                        raise FlowParseError(reader.line_num, str(exc)) from exc
+                    stats.record_error(reader.line_num, str(exc))
+                    continue
+                stats.parsed += 1
+                yield src_ip, dst_ip, src_port, dst_port, start_ts, end_ts
+            return
+        except csv.Error as exc:
+            stats.rows += 1
             if on_error == "abort":
                 raise FlowParseError(reader.line_num, str(exc)) from exc
             stats.record_error(reader.line_num, str(exc))
-            continue
-        stats.parsed += 1
-        yield src_ip, dst_ip, src_port, dst_port, start_ts, end_ts
 
 
 def parse_flows(
@@ -235,18 +246,38 @@ def parse_flows(
     return map(FlowRecord._make, parse_flow_rows(lines, columns, on_error, stats))
 
 
-# canonical CSV column order (CANONICAL_COLUMNS) from FlowRecord field order
-_CSV_ORDER = itemgetter(4, 5, 0, 1, 2, 3)
+# csv quotes a text field holding the delimiter, the quote character or a
+# character of the line terminator; it quotes "\r" on some Python versions
+# only, so such a field is left to csv as well.
+_QUOTE_CHARS = frozenset(',"\n\r')
+
+
+class _Unquoted(dict):
+    """Whether csv writes a text field as it is, worked out once per distinct text."""
+
+    def __missing__(self, text: str) -> bool:
+        plain = self[text] = _QUOTE_CHARS.isdisjoint(text)
+        return plain
 
 
 def write_flows(records: Iterable[FlowRow], out: IO[str]) -> int:
-    """Write records as canonical CSV (header plus one row each); returns the count."""
+    """Write records as canonical CSV (header plus one row each); returns the count.
+
+    The output is the text ``csv.writer`` writes. Ports and timestamps are
+    integers and never quoted, so a row whose IP texts need no quoting is
+    formatted directly; any other row goes through ``csv.writer``.
+    """
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CANONICAL_COLUMNS)
-    # zip draws from the tally only after a record, so it stops at their count
-    tally = count()
-    writer.writerows(_CSV_ORDER(rec) for rec, _ in zip(records, tally))
-    return next(tally)
+    write = out.write
+    unquoted = _Unquoted()
+    written = 0
+    for written, (src, dst, sport, dport, start, end) in enumerate(records, 1):
+        if unquoted[src] and unquoted[dst]:
+            write(f"{start},{end},{src},{dst},{sport},{dport}\n")
+        else:
+            writer.writerow((start, end, src, dst, sport, dport))
+    return written
 
 
 # Records per pickled batch of a spill run; a merge holds one batch per run.

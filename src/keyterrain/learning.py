@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constants import HEURISTICS
 from .flows import PortPair
 from .graph import StaticGraph
 from .labels import AddressSet
@@ -25,8 +26,6 @@ from .pagerank import (
     classify,
     init_scores,
 )
-
-HEURISTICS = ("minimum", "maximum", "average", "smallest_difference")
 
 
 @dataclass

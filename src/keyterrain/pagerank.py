@@ -7,10 +7,9 @@ from typing import IO, Iterable
 
 import numpy as np
 
+from .constants import DEFAULT_DAMPING
 from .flows import PortPair, _parse_port
 from .graph import StaticGraph
-
-DEFAULT_DAMPING = 0.85
 
 
 @dataclass

@@ -6,6 +6,8 @@ import csv
 import ipaddress
 import random
 from collections import Counter
+from itertools import count
+from operator import itemgetter
 
 import numpy as np
 
@@ -330,6 +332,20 @@ def parse_flows_by_helpers(lines, columns=None, on_error="abort", stats=None):
         if stats is not None:
             stats.parsed += 1
         yield record
+
+
+# canonical CSV column order (CANONICAL_COLUMNS) from FlowRecord field order
+_CSV_ORDER = itemgetter(4, 5, 0, 1, 2, 3)
+
+
+def write_flows_by_csv_writer(records, out) -> int:
+    """The flow writer with every row through ``csv.writer``; returns the count."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CANONICAL_COLUMNS)
+    # zip draws from the tally only after a record, so it stops at their count
+    tally = count()
+    writer.writerows(_CSV_ORDER(rec) for rec, _ in zip(records, tally))
+    return next(tally)
 
 
 def count_port_pairs_by_records(records):

@@ -664,6 +664,51 @@ def test_recorded_config_lists_every_option_in_parser_order(
         assert list(config) == sorted(expected)
 
 
+# the third line holds a field over csv.field_size_limit(), which the csv
+# tokenizer rejects before any field check runs
+OVERLONG_FIELD_FLOWS = (
+    "start_ts,end_ts,src_ip,dst_ip,src_port,dst_port\n"
+    "1,2,10.0.0.1,10.0.0.2,1,2\n"
+    f"1,2,{'x' * 131073},10.0.0.2,1,2\n"
+    "3,4,10.0.0.2,10.0.0.1,2,1\n"
+)
+
+
+@pytest.mark.parametrize("command", ["prepare", "learn", "baseline", "stream"])
+def test_tokenizer_error_aborts_with_line_number(tmp_path, capsys, command):
+    flows_path = tmp_path / "flows.csv"
+    flows_path.write_text(OVERLONG_FIELD_FLOWS)
+    labels_path = tmp_path / "labels.txt"
+    labels_path.write_text("10.0.0.1\n")
+    out = str(tmp_path / "out")
+    graph = ["--labels", str(labels_path), "--pair-fraction", "0.01"]
+    args = {
+        "prepare": ["--out", out],
+        "learn": ["--out", out, *graph, "--seed", "7"],
+        "baseline": graph,
+        "stream": ["--out", out, "--default-factors"],
+    }[command]
+    assert main([command, "--flows", str(flows_path), *args]) == 1
+    err = capsys.readouterr().err
+    assert "error: line 3: field larger than field limit (131072)" in err
+
+
+def test_tokenizer_error_is_skipped_and_counted(tmp_path, capsys):
+    flows_path = tmp_path / "flows.csv"
+    flows_path.write_text(OVERLONG_FIELD_FLOWS)
+    out = tmp_path / "out.csv"
+    args = ["prepare", "--flows", str(flows_path), "--out", str(out), "--on-error", "skip"]
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert "rows read: 3" in captured.out
+    assert "rows skipped: 1" in captured.out
+    assert "skipped line 3: field larger than field limit" in captured.err
+    assert read_flow_file(out) == [
+        flow("10.0.0.1", "10.0.0.2", 1, 2, 1, 2),
+        flow("10.0.0.2", "10.0.0.1", 2, 1, 3, 4),
+    ]
+
+
 def test_help_lists_commands(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--help"])

@@ -87,6 +87,28 @@ class TestParse:
         assert stats.skipped == 1
         assert stats.errors[0][0] == 3
 
+    def test_tokenizer_error_reports_line(self):
+        # a bare CR inside an unquoted field, in lines not split on CR
+        lines = [HEADER + "\n", "1,2,10.0.0.5,10.0.0.9,1,2\n", "1,2,10.0\r.0.5,10.0.0.9,1,2\n"]
+        with pytest.raises(FlowParseError, match="line 3: new-line character"):
+            list(parse_flow_rows(lines))
+        with pytest.raises(FlowParseError, match="line 1: new-line character"):
+            list(parse_flow_rows(["start_ts\r,end_ts\n"]))
+
+    def test_tokenizer_error_skipped_and_reader_resumes(self):
+        lines = [
+            HEADER + "\n",
+            "1,2,10.0.0.5,10.0.0.9,1,2\n",
+            "1,2,10.0\r.0.5,10.0.0.9,1,2\n",
+            "3,4,10.0.0.5,10.0.0.9,1,2\n",
+            "5,6,bad,10.0.0.9,1,2\n",
+        ]
+        stats = ParseStats()
+        rows = list(parse_flow_rows(lines, on_error="skip", stats=stats))
+        assert [row[4] for row in rows] == [1, 3]
+        assert (stats.rows, stats.parsed, stats.skipped) == (4, 2, 2)
+        assert [line for line, _ in stats.errors] == [3, 5]
+
     def test_column_mapping_and_extra_columns(self):
         text = (
             "ts_first,ts_last,initiator,responder,sport,dport,bytes\n"
