@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import secrets
 import sys
 import time
 from dataclasses import fields
@@ -28,6 +27,8 @@ def _resolve_seed(args) -> int:
             return int(env)
         except ValueError:
             raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
+    import secrets  # only an unseeded run loads it
+
     return secrets.randbits(32)
 
 
@@ -93,8 +94,8 @@ def cmd_prepare(args) -> int:
 
 def _learning_inputs(args):
     """Front end of learn and baseline: check the graph options, load the
-    labels, then split, dedupe, census, filter and build the learning graph."""
-    from .graph import build_static_graph, check_fraction, count_port_pairs, filter_port_pairs
+    labels, then build the learning graph from the whole flow file."""
+    from .graph import check_fraction, learning_graph
     from .labels import AddressSet
 
     if not 0.0 < args.learn_split <= 1.0:
@@ -102,21 +103,7 @@ def _learning_inputs(args):
     check_fraction(args.pair_fraction)
     labels = AddressSet.from_file(args.labels)
     with open(args.flows, encoding="utf-8", newline="") as fh:
-        records = list(parse_flow_rows(fh))
-    total = len(records)
-    prefix = int(total * args.learn_split)
-    del records[prefix:]
-    records = list(dedupe_flows(records))
-    retained = filter_port_pairs(count_port_pairs(records), args.pair_fraction)
-    graph = build_static_graph(records, retained)
-    info = {
-        "flows_total": total,
-        "flows_learning": prefix,
-        "flows_after_dedupe": len(records),
-        "retained_pairs": len(retained),
-        "vertices": graph.n,
-        "edges": graph.edge_count,
-    }
+        graph, info = learning_graph(parse_flow_rows(fh), args.learn_split, args.pair_fraction)
     return labels, graph, info
 
 
@@ -242,12 +229,12 @@ def cmd_stream(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    from .learning import evaluate_classification
-    from .metrics import write_run_summary
+    from .metrics import mask_f1, write_run_summary
     from .pagerank import (
         DampingTable,
         check_damping,
         check_stop_rule,
+        classify,
         contraction_bound,
         run_adjusted_to_convergence,
         run_to_convergence,
@@ -268,8 +255,10 @@ def cmd_baseline(args) -> int:
          run_adjusted_to_convergence(graph, uniform, **stop)),
     )
     summary = {"command": "baseline", "config": settings, "graph": info}
+    # both runs are scored on one label mask, as learn's F1 is
+    label_mask = labels.mask(graph.vertices)
     for key, name, res in runs:
-        f1, _ = evaluate_classification(res.scores, graph, labels)
+        f1 = mask_f1(classify(res.scores), label_mask)
         mass = float(res.scores.sum())
         state = "converged" if res.converged else "did not converge"
         print(

@@ -5,8 +5,6 @@ from __future__ import annotations
 import csv
 import heapq
 import ipaddress
-import pickle
-import tempfile
 from dataclasses import dataclass, field
 from operator import itemgetter
 from socket import AF_INET, inet_ntop, inet_pton
@@ -285,6 +283,10 @@ _SPILL_BATCH = 4096
 
 
 def _spill_run(chunk: list[FlowRow]) -> IO[bytes]:
+    # only a sort that outgrows one chunk loads these two
+    import pickle
+    import tempfile
+
     spill = tempfile.TemporaryFile()
     for lo in range(0, len(chunk), _SPILL_BATCH):
         pickle.dump(chunk[lo : lo + _SPILL_BATCH], spill, pickle.HIGHEST_PROTOCOL)
@@ -293,6 +295,8 @@ def _spill_run(chunk: list[FlowRow]) -> IO[bytes]:
 
 
 def _read_run(spill: IO[bytes]) -> Iterator[FlowRow]:
+    import pickle
+
     while True:
         try:
             batch = pickle.load(spill)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, compress, count, filterfalse, islice
 from operator import itemgetter
 from typing import IO, Iterable
 
@@ -36,18 +38,24 @@ def check_fraction(fraction: float) -> None:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
 
 
+def _retained(counts, total_flows: int, fraction: float) -> np.ndarray:
+    """The retention rule: which pair ``counts`` exceed ``fraction`` of all flows."""
+    check_fraction(fraction)
+    return np.asarray(counts, dtype=np.int64) > fraction * total_flows
+
+
 def filter_port_pairs(census: PortPairCensus, fraction: float) -> set[PortPair]:
     """Port pairs occurring in strictly more than ``fraction`` of all flows."""
-    check_fraction(fraction)
-    threshold = fraction * census.total_flows
-    return {pair for pair, count in census.counts.items() if count > threshold}
+    keep = _retained(list(census.counts.values()), census.total_flows, fraction)
+    return set(compress(census.counts, keep))
 
 
 class StaticGraph:
     """Directed multigraph over IP addresses with a port pair on every edge.
 
-    ``edges`` holds one ``(src_vertex, dst_vertex, src_port, dst_port)`` row
-    per edge, and vertex ``i`` is the ``i``-th IP of ``vertices``. Parallel
+    Edge ``e`` runs from vertex ``src[e]`` to vertex ``dst[e]`` on the port
+    pair ``(src_port[e], dst_port[e])``, given as four int columns of equal
+    length, and vertex ``i`` is the ``i``-th IP of ``vertices``. Parallel
     edges and self-loops are kept and each one counts toward its source's
     out-degree. Edges are stored sorted by (source, destination, pair) so
     that per-vertex sums accumulate in ascending source order, which keeps
@@ -56,13 +64,13 @@ class StaticGraph:
     Instances are immutable after construction and safe to share.
     """
 
-    def __init__(self, vertices: Iterable[str], edges: list[tuple[int, int, int, int]]):
+    def __init__(self, vertices: Iterable[str], src, dst, src_port, dst_port):
         self.vertices: list[str] = list(vertices)
         self.vertex_index: dict[str, int] = {ip: i for i, ip in enumerate(self.vertices)}
-        columns = np.array(edges, dtype=np.int64).reshape(-1, 4)
-        src, dst = columns[:, 0], columns[:, 1]
-        # ports are 16-bit, so this key orders pairs as (src_port, dst_port) does
-        pair_key = (columns[:, 2] << 16) | columns[:, 3]
+        src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+        pair_key = _pair_key(
+            np.asarray(src_port, dtype=np.int64), np.asarray(dst_port, dtype=np.int64)
+        )
         order = np.lexsort((pair_key, dst, src))
         keys, pair_id = np.unique(pair_key[order], return_inverse=True)
         self.pairs: list[PortPair] = [PortPair(int(k) >> 16, int(k) & 0xFFFF) for k in keys]
@@ -83,6 +91,72 @@ class StaticGraph:
         return len(self.edge_src)
 
 
+def _pair_key(src_port: np.ndarray, dst_port: np.ndarray) -> np.ndarray:
+    # ports are 16-bit, so this key orders pairs as (src_port, dst_port) does
+    return (src_port << 16) | dst_port
+
+
+# Rows per batch of the column fill: enough that map runs at C speed over each
+# field of a batch, few enough that one batch of row tuples costs little.
+_BATCH = 4096
+_SRC_IP, _DST_IP, _SRC_PORT, _DST_PORT, _START = map(itemgetter, range(5))
+_INT64 = range(-(1 << 63), 1 << 63)
+
+
+def _row_columns(rows: Iterable[FlowRow]) -> tuple[list[str], list[np.ndarray]]:
+    """Drain ``rows`` into five int64 columns: source id, destination id,
+    source port, destination port and start_ts. Returns the IPs in id order
+    and the columns.
+
+    Only an IP not seen before goes through Python code. A start_ts beyond
+    int64 keeps only what a dedupe key needs of it, its equality with the
+    other starts: the column then holds every start's dense rank instead.
+    """
+    ids: dict[str, int] = {}
+    src, dst, src_port, dst_port, start = (array("q") for _ in range(5))
+    huge: list[tuple[int, int]] = []  # (row, start_ts) of the starts beyond int64
+    rows = iter(rows)
+    while batch := list(islice(rows, _BATCH)):
+        ips = chain(map(_SRC_IP, batch), map(_DST_IP, batch))
+        ids.update(zip(dict.fromkeys(filterfalse(ids.__contains__, ips)), count(len(ids))))
+        src.extend(map(ids.__getitem__, map(_SRC_IP, batch)))
+        dst.extend(map(ids.__getitem__, map(_DST_IP, batch)))
+        src_port.extend(map(_SRC_PORT, batch))
+        dst_port.extend(map(_DST_PORT, batch))
+        try:
+            start.extend(array("q", map(_START, batch)))
+        except OverflowError:
+            starts = list(map(_START, batch))
+            huge += [(len(start) + i, ts) for i, ts in enumerate(starts) if ts not in _INT64]
+            start.extend(ts if ts in _INT64 else 0 for ts in starts)
+    columns = [np.frombuffer(c, dtype=np.int64) for c in (src, dst, src_port, dst_port, start)]
+    if huge:
+        ranks = np.unique(columns[4], return_inverse=True)[1].astype(np.int64)
+        at, values = zip(*huge)
+        codes = {ts: code for code, ts in enumerate(dict.fromkeys(values), len(ranks))}
+        ranks[list(at)] = [codes[ts] for ts in values]
+        columns[4] = ranks
+    return list(ids), columns
+
+
+def _graph_from_edges(ips: list[str], src, dst, src_port, dst_port) -> StaticGraph:
+    """The graph over the edges of id columns, its vertices the IPs incident to
+    them in order of first appearance, a row's source before its destination."""
+    if not len(src):
+        raise GraphBuildError(
+            "no flows carry a retained port pair; the learning graph would be empty"
+        )
+    ends = np.empty(2 * len(src), dtype=np.int64)
+    ends[0::2], ends[1::2] = src, dst
+    seen, first = np.unique(ends, return_index=True)
+    del ends
+    ids = seen[np.argsort(first)]
+    vertex = np.empty(len(ips), dtype=np.int64)
+    vertex[ids] = np.arange(len(ids))
+    vertices = [ips[i] for i in ids.tolist()]
+    return StaticGraph(vertices, vertex[src], vertex[dst], src_port, dst_port)
+
+
 def build_static_graph(records: Iterable[FlowRow], retained: set[PortPair]) -> StaticGraph:
     """Materialize the learning graph: one edge per record with a retained pair.
 
@@ -90,19 +164,64 @@ def build_static_graph(records: Iterable[FlowRow], retained: set[PortPair]) -> S
     incident to surviving edges; an empty surviving edge set is an error
     because nothing could be learned from it.
     """
-    ids: dict[str, int] = {}
-    rows: list[tuple[int, int, int, int]] = []
-    for src_ip, dst_ip, src_port, dst_port, _, _ in records:
-        # a PortPair hashes and compares as its plain tuple
-        if (src_port, dst_port) in retained:
-            src = ids.setdefault(src_ip, len(ids))
-            dst = ids.setdefault(dst_ip, len(ids))
-            rows.append((src, dst, src_port, dst_port))
-    if not rows:
-        raise GraphBuildError(
-            "no flows carry a retained port pair; the learning graph would be empty"
-        )
-    return StaticGraph(ids, rows)
+    ips, (src, dst, src_port, dst_port, _) = _row_columns(records)
+    keys = np.array([_pair_key(*pair) for pair in retained], dtype=np.int64)
+    edge = np.isin(_pair_key(src_port, dst_port), keys)
+    return _graph_from_edges(ips, src[edge], dst[edge], src_port[edge], dst_port[edge])
+
+
+def _learning_edges(rows: Iterable[FlowRow], split: float, fraction: float):
+    """The edge columns of ``learning_graph`` and its ``info`` without the
+    graph counts; the row columns are freed on return."""
+    ips, columns = _row_columns(rows)
+    total = len(columns[0])
+    prefix = int(total * split)
+    columns = [column[:prefix] for column in columns]
+    # keep-first dedupe: the stable sort leaves each key's first row at the
+    # head of its run of equal keys
+    order = np.lexsort(columns[::-1])
+    head = np.zeros(prefix, dtype=bool)
+    head[:1] = True
+    for column in columns:
+        ordered = column[order]
+        head[1:] |= ordered[1:] != ordered[:-1]
+    kept = np.zeros(prefix, dtype=bool)
+    kept[order[head]] = True
+    del order, head, ordered
+    src, dst, src_port, dst_port, _ = (column[kept] for column in columns)
+    del columns, kept
+    after_dedupe = len(src)
+    _, pair_of, counts = np.unique(
+        _pair_key(src_port, dst_port), return_inverse=True, return_counts=True
+    )
+    retained = _retained(counts, after_dedupe, fraction)
+    edge = retained[pair_of]
+    info = {
+        "flows_total": total,
+        "flows_learning": prefix,
+        "flows_after_dedupe": after_dedupe,
+        "retained_pairs": int(retained.sum()),
+    }
+    return ips, (src[edge], dst[edge], src_port[edge], dst_port[edge]), info
+
+
+def learning_graph(
+    rows: Iterable[FlowRow], split: float, fraction: float
+) -> tuple[StaticGraph, dict]:
+    """The learning graph of the first ``int(total * split)`` of ``rows``,
+    deduplicated, with the port pairs in strictly more than ``fraction`` of
+    the deduplicated flows; and an ``info`` dict of its row and graph counts.
+
+    Every row is drained, so a malformed row anywhere fails the call, but
+    only five int64 values per row and one id per distinct IP are held. The
+    result equals ``build_static_graph`` over ``dedupe_flows`` of the prefix
+    with the pairs ``filter_port_pairs`` retains from its census.
+    """
+    ips, edges, info = _learning_edges(rows, split, fraction)
+    graph = _graph_from_edges(ips, *edges)
+    info["vertices"] = graph.n
+    info["edges"] = graph.edge_count
+    return graph, info
 
 
 def write_edge_list(graph: StaticGraph, out: IO[str]) -> None:

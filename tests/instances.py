@@ -18,8 +18,15 @@ from keyterrain.flows import (
     PortPair,
     _parse_port,
     _parse_timestamp,
+    dedupe_flows,
 )
-from keyterrain.graph import GraphBuildError, StaticGraph, build_static_graph
+from keyterrain.graph import (
+    GraphBuildError,
+    StaticGraph,
+    build_static_graph,
+    count_port_pairs,
+    filter_port_pairs,
+)
 from keyterrain.labels import AddressSet
 from keyterrain.metrics import mask_f1
 from keyterrain.pagerank import DampingTable, adjusted_iteration, classify
@@ -402,6 +409,40 @@ def static_graph_by_triples(records, retained):
             f"{vertices[s]},{vertices[d]},{p[0]},{p[1]}\n" for s, d, p in triples
         ),
     }
+
+
+def learning_graph_by_rows(rows, split, fraction):
+    """The learning graph the row way: every row held as a tuple, the prefix
+    cut from the list, ``dedupe_flows``, the census, ``filter_port_pairs``,
+    then one id per IP in first-seen order and one edge per retained row.
+    Returns (graph, info) as ``graph.learning_graph`` does."""
+    records = list(rows)
+    total = len(records)
+    prefix = int(total * split)
+    del records[prefix:]
+    records = list(dedupe_flows(records))
+    retained = filter_port_pairs(count_port_pairs(records), fraction)
+    ids: dict[str, int] = {}
+    edges = []
+    for src_ip, dst_ip, src_port, dst_port, _, _ in records:
+        if (src_port, dst_port) in retained:
+            src = ids.setdefault(src_ip, len(ids))
+            dst = ids.setdefault(dst_ip, len(ids))
+            edges.append((src, dst, src_port, dst_port))
+    if not edges:
+        raise GraphBuildError(
+            "no flows carry a retained port pair; the learning graph would be empty"
+        )
+    graph = StaticGraph(ids, *zip(*edges))
+    info = {
+        "flows_total": total,
+        "flows_learning": prefix,
+        "flows_after_dedupe": len(records),
+        "retained_pairs": len(retained),
+        "vertices": graph.n,
+        "edges": graph.edge_count,
+    }
+    return graph, info
 
 
 def stream_masses_by_rule(records, table: DampingTable, beta: float):

@@ -693,6 +693,34 @@ def test_tokenizer_error_aborts_with_line_number(tmp_path, capsys, command):
     assert "error: line 3: field larger than field limit (131072)" in err
 
 
+@pytest.mark.parametrize("command", ["learn", "baseline"])
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        ("9,9,10.0.0.3,10.0.0.4,1,99999", "port out of range: 99999"),
+        ("9,8,10.0.0.3,10.0.0.4,1,2", "start_ts 9 after end_ts 8"),
+        ("9,9,10.0.0.3,not-an-ip,1,2", "bad IP address 'not-an-ip'"),
+    ],
+)
+def test_malformed_row_past_the_split_aborts(tmp_path, capsys, command, bad_row, message):
+    # the split keeps 5 of 11 rows; the graph never uses line 12, yet the
+    # whole file is parsed, so it is still rejected
+    rows = [f"{i},{i},10.0.0.1,10.0.0.2,1,2" for i in range(10)]
+    flows_path = tmp_path / "flows.csv"
+    flows_path.write_text(
+        "start_ts,end_ts,src_ip,dst_ip,src_port,dst_port\n" + "\n".join([*rows, bad_row]) + "\n"
+    )
+    labels_path = tmp_path / "labels.txt"
+    labels_path.write_text("10.0.0.1\n")
+    out = tmp_path / "out"
+    args = [command, "--flows", str(flows_path), "--labels", str(labels_path),
+            "--pair-fraction", "0.01", "--learn-split", "0.5", "--out", str(out)]
+    assert main(args + (["--seed", "7"] if command == "learn" else [])) == 1
+    err = capsys.readouterr().err
+    assert f"error: line 12: {message}" in err
+    assert not out.exists()
+
+
 def test_tokenizer_error_is_skipped_and_counted(tmp_path, capsys):
     flows_path = tmp_path / "flows.csv"
     flows_path.write_text(OVERLONG_FIELD_FLOWS)

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from keyterrain.flows import PortPair
+from keyterrain.flows import PortPair, dedupe_flows
 from keyterrain.graph import (
     GraphBuildError,
     PortPairCensus,
     build_static_graph,
     count_port_pairs,
     filter_port_pairs,
+    learning_graph,
     write_edge_list,
 )
 
@@ -24,6 +25,7 @@ from instances import (
     edge_triples,
     flow,
     graph_of,
+    learning_graph_by_rows,
     random_multigraph,
     static_graph_by_triples,
 )
@@ -224,3 +226,116 @@ def test_census_and_build_match_triple_oracle(records, retained):
     buf = io.StringIO()
     write_edge_list(graph, buf)
     assert buf.getvalue() == expected["edge_list"]
+
+
+# Starts at and beyond the int64 limits, where the column dedupe ranks starts
+BIG_STARTS = (-(1 << 63), (1 << 63) - 1, 1 << 63, -(10**30), 10**30)
+
+
+@st.composite
+def flow_files(draw):
+    """Plain flow rows with self-flows, IPv6 text, huge starts, and re-exports:
+    copies of an earlier row's dedupe key, placed later, with a later end_ts."""
+    ip = st.sampled_from(ORACLE_IPS + ("fe80::1",))
+    start = st.one_of(st.integers(0, 3), st.sampled_from(BIG_STARTS))
+    drawn = draw(st.lists(
+        st.tuples(ip, ip, st.sampled_from(ORACLE_PORTS), st.sampled_from(ORACLE_PORTS),
+                  start, st.integers(0, 2)),
+        max_size=40,
+    ))
+    rows = [(s, d, sp, dp, t, t + extra) for s, d, sp, dp, t, extra in drawn]
+    for _ in range(draw(st.integers(0, 8)) if rows else 0):
+        at = draw(st.integers(0, len(rows) - 1))
+        *key, end = rows[at]
+        rows.insert(draw(st.integers(at + 1, len(rows))), (*key, end + draw(st.integers(1, 5))))
+    return rows
+
+
+# four kept flows, two on one pair: the fraction 0.25 puts each other pair's
+# count exactly on the threshold (1 == 0.25 * 4 is not retained)
+ON_THRESHOLD = [
+    ("10.0.0.1", "10.0.0.2", 80, 443, 0, 0),
+    ("10.0.0.2", "10.0.0.1", 443, 80, 1, 1),
+    ("10.0.0.1", "10.0.0.2", 80, 443, 0, 5),  # a re-export of the first row
+    ("10.0.0.2", "10.0.0.1", 443, 80, 2, 2),
+    ("2001:db8::1", "2001:db8::1", 22, 22, 3, 3),
+]
+
+
+# one key with a start of 0 and a start beyond int64: two flows, not duplicates
+PAST_INT64 = [
+    ("10.0.0.1", "10.0.0.2", 80, 443, 0, 0),
+    ("10.0.0.1", "10.0.0.2", 80, 443, 1 << 63, 1 << 63),
+    ("10.0.0.1", "10.0.0.2", 80, 443, 10**30, 10**30),
+    ("10.0.0.1", "10.0.0.2", 80, 443, 1 << 63, 1 << 64),
+]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(rows=flow_files(), data=st.data())
+@example(rows=ON_THRESHOLD, data=None)
+@example(rows=PAST_INT64, data=None)
+def test_learning_graph_matches_row_path_oracle(rows, data):
+    if data is None:
+        split, fraction = 1.0, 0.25
+    else:
+        split = data.draw(st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True), st.sampled_from((1e-9, 0.5, 1.0))
+        ))
+        # a pair count over the kept flows lands exactly on count == fraction * kept
+        kept = list(dedupe_flows(rows[: int(len(rows) * split)]))
+        counts = sorted(set(Counter((r[2], r[3]) for r in kept).values()))
+        on_count = [c / len(kept) for c in counts]
+        fraction = data.draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from(on_count or [0.0])))
+    try:
+        expected, expected_info = learning_graph_by_rows(rows, split, fraction)
+    except GraphBuildError as exc:
+        with pytest.raises(GraphBuildError) as excinfo:
+            learning_graph(iter(rows), split, fraction)
+        assert str(excinfo.value) == str(exc)
+        return
+    graph, info = learning_graph(iter(rows), split, fraction)
+    assert info == expected_info
+    assert graph.vertices == expected.vertices
+    assert graph.vertex_index == expected.vertex_index
+    assert graph.pairs == expected.pairs
+    assert all(type(pair) is PortPair for pair in graph.pairs)
+    for name in ("edge_src", "edge_dst", "edge_pair_id", "out_degree"):
+        column = getattr(graph, name)
+        assert column.dtype == np.int64
+        assert column.tolist() == getattr(expected, name).tolist(), name
+    assert graph.max_degree == expected.max_degree
+
+    # build_static_graph takes the same column path from deduplicated records
+    kept = list(dedupe_flows(rows[: info["flows_learning"]]))
+    built = build_static_graph(kept, filter_port_pairs(count_port_pairs(kept), fraction))
+    assert built.vertices == graph.vertices
+    assert built.edge_src.tolist() == graph.edge_src.tolist()
+    assert built.edge_dst.tolist() == graph.edge_dst.tolist()
+    assert built.edge_pair_id.tolist() == graph.edge_pair_id.tolist()
+
+
+def test_on_threshold_example_drops_the_pair_on_the_threshold():
+    graph, info = learning_graph(iter(ON_THRESHOLD), 1.0, 0.25)
+    assert info["flows_after_dedupe"] == 4
+    assert graph.pairs == [PortPair(443, 80)]
+    assert graph.vertices == ["10.0.0.2", "10.0.0.1"]
+
+
+@pytest.mark.parametrize("split, fraction", [(0.1, 0.0), (1.0, 1.0)])
+def test_empty_prefix_or_no_retained_pair_is_an_error(split, fraction):
+    with pytest.raises(GraphBuildError, match="learning graph would be empty"):
+        learning_graph(iter(ON_THRESHOLD), split, fraction)
+
+
+def test_learning_graph_drains_every_row():
+    drawn = []
+
+    def rows():
+        for row in ON_THRESHOLD:
+            drawn.append(row)
+            yield row
+
+    _, info = learning_graph(rows(), 0.5, 0.0)
+    assert drawn == ON_THRESHOLD
+    assert info["flows_total"] == 5 and info["flows_learning"] == 2

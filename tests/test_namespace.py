@@ -40,10 +40,10 @@ EAGER_EXPORTS = {
 EAGER_NAMES = sorted(name for names in EAGER_EXPORTS.values() for name in names)
 
 
-def run_python(code: str, cwd: Path) -> str:
+def run_python(code: str, cwd: Path, *flags: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
-        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True,
+        [sys.executable, *flags, "-c", code], cwd=cwd, env=env, capture_output=True, text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
@@ -53,6 +53,18 @@ def run_python(code: str, cwd: Path) -> str:
 def test_cli_import_loads_no_numpy(tmp_path):
     out = run_python("import sys, keyterrain.cli; print('numpy' in sys.modules)", tmp_path)
     assert out.split() == ["False"]
+
+
+def test_cli_import_loads_no_seed_or_spill_modules(tmp_path):
+    # secrets serves only an unseeded learn, tempfile and pickle only a sort
+    # that spills; -S keeps site hooks (.pth files) from importing them first
+    out = run_python(
+        "import sys, keyterrain.cli\n"
+        "print(*(name in sys.modules for name in ('secrets', 'tempfile', 'pickle')))",
+        tmp_path,
+        "-S",
+    )
+    assert out.split() == ["False", "False", "False"]
 
 
 def test_prepare_loads_no_numpy(tmp_path):

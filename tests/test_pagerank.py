@@ -78,7 +78,7 @@ class TestInitScores:
 
     def test_empty_graph(self):
         with pytest.raises(ValueError):
-            init_scores(StaticGraph([], []))
+            init_scores(StaticGraph([], [], [], [], []))
 
 
 class TestDefaultIteration:
@@ -336,7 +336,7 @@ class TestConvergence:
             if rng.random() < 0.5:
                 u, v = v, u
             rows.append((u, v, rng.choice(PORT_POOL), rng.choice(PORT_POOL)))
-        graph = StaticGraph([ip_of(i) for i in range(300)], rows)
+        graph = StaticGraph([ip_of(i) for i in range(300)], *zip(*rows))
         result = run_adjusted_to_convergence(graph, DampingTable(), 1e-15, max_iters=50)
         assert result.converged
         assert abs(result.scores.sum() - 1.0) <= 1e-14
