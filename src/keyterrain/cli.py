@@ -79,8 +79,14 @@ def cmd_prepare(args) -> int:
             stream = dedupe_flows(stream)
         out_path = Path(args.out)
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(out_path, "w", encoding="utf-8", newline="") as dst:
-            written = write_flows(stream, dst)
+        dst = open(out_path, "w", encoding="utf-8", newline="")
+        try:
+            with dst:
+                written = write_flows(stream, dst)
+        except BaseException:
+            # the rows written so far would read as a whole flow file
+            out_path.unlink(missing_ok=True)
+            raise
     print(f"rows read: {stats.rows}")
     print(f"records parsed: {stats.parsed}")
     print(f"rows skipped: {stats.skipped}")

@@ -42,8 +42,14 @@ class _FlowFields(NamedTuple):
     end_ts: int
 
 
+# Timestamps are int64 milliseconds, as flow exporters carry them (IPFIX
+# dateTimeMilliseconds); the parser and FlowRecord reject anything outside.
+_TS_MIN, _TS_MAX = -(1 << 63), (1 << 63) - 1
+
+
 class FlowRecord(_FlowFields):
-    """One directed IP flow. Timestamps are integral milliseconds since epoch.
+    """One directed IP flow. Timestamps are integral milliseconds since epoch,
+    within int64.
 
     A validated named tuple: it equals, hashes and unpacks as the plain
     ``FlowRow`` of its fields, so every flow consumer takes either form.
@@ -58,6 +64,9 @@ class FlowRecord(_FlowFields):
             raise ValueError(f"src_port out of range: {src_port}")
         if not 0 <= dst_port <= 65535:
             raise ValueError(f"dst_port out of range: {dst_port}")
+        for name, value in (("start_ts", start_ts), ("end_ts", end_ts)):
+            if not _TS_MIN <= value <= _TS_MAX:
+                raise ValueError(f"{name} out of int64 range: {value}")
         if start_ts > end_ts:
             raise ValueError(f"start_ts {start_ts} after end_ts {end_ts}")
         return super().__new__(cls, src_ip, dst_ip, src_port, dst_port, start_ts, end_ts)
@@ -69,7 +78,9 @@ class FlowRecord(_FlowFields):
 @dataclass
 class ParseStats:
     """Counters of a parse: ``rows`` read and ``parsed`` in either on_error
-    mode; ``skipped`` and the first recorded ``errors`` with on_error="skip"."""
+    mode; ``skipped`` and the first recorded ``errors`` with on_error="skip",
+    which skips field errors only. A tokenizer error ends the parse in either
+    mode and is not counted."""
 
     rows: int = 0
     parsed: int = 0
@@ -130,14 +141,16 @@ def _parse_port(text: str) -> int:
 def _parse_timestamp(text: str) -> int:
     text = text.strip()
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
-        pass
-    try:
-        # sub-millisecond precision is truncated on ingest
-        return int(float(text))
-    except (ValueError, OverflowError):
-        raise ValueError(f"bad timestamp {text!r}") from None
+        try:
+            # sub-millisecond precision is truncated on ingest
+            value = int(float(text))
+        except (ValueError, OverflowError):
+            raise ValueError(f"bad timestamp {text!r}") from None
+    if not _TS_MIN <= value <= _TS_MAX:
+        raise ValueError(f"timestamp {text!r} out of int64 range")
+    return value
 
 
 def parse_flow_rows(
@@ -155,81 +168,77 @@ def parse_flow_rows(
     exports be ingested by simply not mapping the reverse-direction counters.
 
     Rows are streamed, never buffered, and hold what a FlowRecord checks:
-    ports in range and start no later than end. A malformed row (a line the
-    csv tokenizer rejects, wrong arity, unparsable IP/port/timestamp, start
-    after end) raises FlowParseError when ``on_error`` is "abort", or is
-    counted in ``stats`` and skipped when it is "skip".
+    ports in range, timestamps within int64, and start no later than end. A
+    malformed row (wrong arity, unparsable IP/port/timestamp, a timestamp
+    outside int64, start after end) raises FlowParseError when ``on_error``
+    is "abort", or is counted in ``stats`` and skipped when it is "skip". A
+    line the csv tokenizer rejects raises FlowParseError in either mode.
     """
     if on_error not in ("abort", "skip"):
         raise ValueError(f"on_error must be 'abort' or 'skip', got {on_error!r}")
-    reader = csv.reader(lines)
-    try:
-        header = [name.strip() for name in next(reader)]
-    except StopIteration:
-        raise FlowParseError(1, "missing header row") from None
-    except csv.Error as exc:
-        raise FlowParseError(reader.line_num, str(exc)) from exc
-
-    mapping = dict(columns or {})
-    unknown = set(mapping) - set(CANONICAL_COLUMNS)
-    if unknown:
-        raise ValueError(f"unknown column mapping keys: {sorted(unknown)}")
-    positions = []
-    for semantic in CANONICAL_COLUMNS:
-        name = mapping.get(semantic, semantic)
-        try:
-            positions.append(header.index(name))
-        except ValueError:
-            raise FlowParseError(1, f"missing column {name!r}") from None
-    i_start, i_end, i_src, i_dst, i_sport, i_dport = positions
-
     if stats is None:
         stats = ParseStats()
-    arity = len(header)
     canonical_ips: dict[str, str] = {}
     cached_ip = canonical_ips.get
-    # The tokenizer raises csv.Error on a field over csv.field_size_limit() or
-    # a bare CR in an unquoted field; the reader resumes on the next line.
-    while True:
-        try:
-            # An IP costs one lookup on its raw text once seen. The ports and
-            # timestamps cost one plain int() each; when any of them fails or a
-            # port is out of range, the helpers read all four in field order,
-            # and they alone word every field error.
-            for row in reader:
-                stats.rows += 1
+    reader = csv.reader(lines)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise FlowParseError(1, "missing header row")
+        header = [name.strip() for name in header]
+        mapping = dict(columns or {})
+        unknown = set(mapping) - set(CANONICAL_COLUMNS)
+        if unknown:
+            raise ValueError(f"unknown column mapping keys: {sorted(unknown)}")
+        positions = []
+        for semantic in CANONICAL_COLUMNS:
+            name = mapping.get(semantic, semantic)
+            try:
+                positions.append(header.index(name))
+            except ValueError:
+                raise FlowParseError(1, f"missing column {name!r}") from None
+        i_start, i_end, i_src, i_dst, i_sport, i_dport = positions
+        arity = len(header)
+
+        # An IP costs one lookup on its raw text once seen. The ports and
+        # timestamps cost one plain int() each; when any of them fails or is
+        # out of range, or start is after end, the helpers read all four in
+        # field order, and they alone word every field error.
+        for row in reader:
+            stats.rows += 1
+            try:
+                if len(row) != arity:
+                    raise ValueError(f"expected {arity} fields, got {len(row)}")
+                src_ip = cached_ip(row[i_src]) or _canonical_ip(row[i_src], canonical_ips)
+                dst_ip = cached_ip(row[i_dst]) or _canonical_ip(row[i_dst], canonical_ips)
                 try:
-                    if len(row) != arity:
-                        raise ValueError(f"expected {arity} fields, got {len(row)}")
-                    src_ip = cached_ip(row[i_src]) or _canonical_ip(row[i_src], canonical_ips)
-                    dst_ip = cached_ip(row[i_dst]) or _canonical_ip(row[i_dst], canonical_ips)
-                    try:
-                        src_port = int(row[i_sport])
-                        dst_port = int(row[i_dport])
-                        start_ts = int(row[i_start])
-                        end_ts = int(row[i_end])
-                        if not (0 <= src_port <= 65535 and 0 <= dst_port <= 65535):
-                            raise ValueError
-                    except ValueError:
-                        src_port = _parse_port(row[i_sport])
-                        dst_port = _parse_port(row[i_dport])
-                        start_ts = _parse_timestamp(row[i_start])
-                        end_ts = _parse_timestamp(row[i_end])
+                    src_port = int(row[i_sport])
+                    dst_port = int(row[i_dport])
+                    start_ts = int(row[i_start])
+                    end_ts = int(row[i_end])
+                    if not (0 <= src_port <= 65535 and 0 <= dst_port <= 65535
+                            and _TS_MIN <= start_ts <= end_ts <= _TS_MAX):
+                        raise ValueError
+                except ValueError:
+                    src_port = _parse_port(row[i_sport])
+                    dst_port = _parse_port(row[i_dport])
+                    start_ts = _parse_timestamp(row[i_start])
+                    end_ts = _parse_timestamp(row[i_end])
                     if start_ts > end_ts:
                         raise ValueError(f"start_ts {start_ts} after end_ts {end_ts}")
-                except ValueError as exc:
-                    if on_error == "abort":
-                        raise FlowParseError(reader.line_num, str(exc)) from exc
-                    stats.record_error(reader.line_num, str(exc))
-                    continue
-                stats.parsed += 1
-                yield src_ip, dst_ip, src_port, dst_port, start_ts, end_ts
-            return
-        except csv.Error as exc:
-            stats.rows += 1
-            if on_error == "abort":
-                raise FlowParseError(reader.line_num, str(exc)) from exc
-            stats.record_error(reader.line_num, str(exc))
+            except ValueError as exc:
+                if on_error == "abort":
+                    raise FlowParseError(reader.line_num, str(exc)) from exc
+                stats.record_error(reader.line_num, str(exc))
+                continue
+            stats.parsed += 1
+            yield src_ip, dst_ip, src_port, dst_port, start_ts, end_ts
+    except csv.Error as exc:
+        # A field over csv.field_size_limit() or a bare CR in an unquoted
+        # field. The reader cannot tell where the record it gave up on ends,
+        # and resuming on the next line could read the inside of a quoted
+        # field as rows, so the parse ends here in either mode.
+        raise FlowParseError(reader.line_num, str(exc)) from exc
 
 
 def parse_flows(

@@ -100,7 +100,6 @@ def _pair_key(src_port: np.ndarray, dst_port: np.ndarray) -> np.ndarray:
 # field of a batch, few enough that one batch of row tuples costs little.
 _BATCH = 4096
 _SRC_IP, _DST_IP, _SRC_PORT, _DST_PORT, _START = map(itemgetter, range(5))
-_INT64 = range(-(1 << 63), 1 << 63)
 
 
 def _row_columns(rows: Iterable[FlowRow]) -> tuple[list[str], list[np.ndarray]]:
@@ -108,13 +107,11 @@ def _row_columns(rows: Iterable[FlowRow]) -> tuple[list[str], list[np.ndarray]]:
     source port, destination port and start_ts. Returns the IPs in id order
     and the columns.
 
-    Only an IP not seen before goes through Python code. A start_ts beyond
-    int64 keeps only what a dedupe key needs of it, its equality with the
-    other starts: the column then holds every start's dense rank instead.
+    Only an IP not seen before goes through Python code. A start_ts must lie
+    within int64, as the parser and FlowRecord make sure.
     """
     ids: dict[str, int] = {}
     src, dst, src_port, dst_port, start = (array("q") for _ in range(5))
-    huge: list[tuple[int, int]] = []  # (row, start_ts) of the starts beyond int64
     rows = iter(rows)
     while batch := list(islice(rows, _BATCH)):
         ips = chain(map(_SRC_IP, batch), map(_DST_IP, batch))
@@ -123,19 +120,8 @@ def _row_columns(rows: Iterable[FlowRow]) -> tuple[list[str], list[np.ndarray]]:
         dst.extend(map(ids.__getitem__, map(_DST_IP, batch)))
         src_port.extend(map(_SRC_PORT, batch))
         dst_port.extend(map(_DST_PORT, batch))
-        try:
-            start.extend(array("q", map(_START, batch)))
-        except OverflowError:
-            starts = list(map(_START, batch))
-            huge += [(len(start) + i, ts) for i, ts in enumerate(starts) if ts not in _INT64]
-            start.extend(ts if ts in _INT64 else 0 for ts in starts)
+        start.extend(map(_START, batch))
     columns = [np.frombuffer(c, dtype=np.int64) for c in (src, dst, src_port, dst_port, start)]
-    if huge:
-        ranks = np.unique(columns[4], return_inverse=True)[1].astype(np.int64)
-        at, values = zip(*huge)
-        codes = {ts: code for code, ts in enumerate(dict.fromkeys(values), len(ranks))}
-        ranks[list(at)] = [codes[ts] for ts in values]
-        columns[4] = ranks
     return list(ids), columns
 
 

@@ -158,15 +158,11 @@ def adjusted_iteration(
     simply surrender nothing). Scores may legitimately go negative and are
     never clamped; clamping would break that cancellation.
     """
-    return _adjusted_step(graph, _check_prev(graph, prev), edge_factor_values(graph, table))
-
-
-def _adjusted_step(graph: StaticGraph, prev: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """``adjusted_iteration`` with the per-edge factors already resolved."""
-    n = graph.n
-    push = factors * prev[graph.edge_src] / graph.out_degree[graph.edge_src]
+    prev = _check_prev(graph, prev)
+    n, src = graph.n, graph.edge_src
+    push = edge_factor_values(graph, table) * prev[src] / graph.out_degree[src]
     incoming = np.bincount(graph.edge_dst, weights=push, minlength=n)
-    surrendered = np.bincount(graph.edge_src, weights=push, minlength=n)
+    surrendered = np.bincount(src, weights=push, minlength=n)
     return 1.0 / n - surrendered + incoming
 
 

@@ -721,20 +721,89 @@ def test_malformed_row_past_the_split_aborts(tmp_path, capsys, command, bad_row,
     assert not out.exists()
 
 
-def test_tokenizer_error_is_skipped_and_counted(tmp_path, capsys):
+def test_tokenizer_error_is_fatal_under_skip(tmp_path, capsys):
+    # the reader cannot tell where the rejected record ends, so skip mode
+    # stops too, and prepare leaves no partial output behind
     flows_path = tmp_path / "flows.csv"
     flows_path.write_text(OVERLONG_FIELD_FLOWS)
     out = tmp_path / "out.csv"
     args = ["prepare", "--flows", str(flows_path), "--out", str(out), "--on-error", "skip"]
-    assert main(args) == 0
+    assert main(args) == 1
     captured = capsys.readouterr()
-    assert "rows read: 3" in captured.out
-    assert "rows skipped: 1" in captured.out
-    assert "skipped line 3: field larger than field limit" in captured.err
-    assert read_flow_file(out) == [
-        flow("10.0.0.1", "10.0.0.2", 1, 2, 1, 2),
-        flow("10.0.0.2", "10.0.0.1", 2, 1, 3, 4),
-    ]
+    assert "error: line 3: field larger than field limit (131072)" in captured.err
+    assert "records written" not in captured.out
+    assert not out.exists()
+
+
+# A quoted field opens on line 3 past the default field limit and closes on
+# line 5; line 4, inside it, holds six fields that read as a flow on their own.
+OPEN_QUOTED_FIELD_FLOWS = (
+    "start_ts,end_ts,src_ip,dst_ip,src_port,dst_port\n"
+    "1,2,10.0.0.1,10.0.0.2,1,2\n"
+    f'3,4,10.0.0.1,10.0.0.2,1,"{"x" * 131073}\n'
+    "5,6,10.0.0.9,10.0.0.8,7,8\n"
+    '9"\n'
+)
+
+
+@pytest.mark.parametrize("on_error", ["abort", "skip"])
+@pytest.mark.parametrize("sort", ["none", "start"])
+def test_prepare_never_reads_inside_an_open_quoted_field(tmp_path, capsys, on_error, sort):
+    flows_path = tmp_path / "flows.csv"
+    flows_path.write_text(OPEN_QUOTED_FIELD_FLOWS)
+    out = tmp_path / "out.csv"
+    args = ["prepare", "--flows", str(flows_path), "--out", str(out),
+            "--on-error", on_error, "--sort", sort]
+    assert main(args) == 1
+    assert "error: line 3: field larger than field limit (131072)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sort", ["none", "start", "end"])
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        ("3,4,10.0.0.3,10.0.0.4,1,99999", "port out of range: 99999"),
+        ("9,8,10.0.0.3,10.0.0.4,1,2", "start_ts 9 after end_ts 8"),
+        ("3,4,10.0.0.3,not-an-ip,1,2", "bad IP address 'not-an-ip'"),
+    ],
+)
+def test_failed_prepare_leaves_no_output(tmp_path, capsys, sort, bad_row, message):
+    # before line 3 is read, the header and line 2 are written with no
+    # sort, and the header alone with a sort
+    flows_path = tmp_path / "flows.csv"
+    flows_path.write_text(
+        f"start_ts,end_ts,src_ip,dst_ip,src_port,dst_port\n1,2,10.0.0.1,10.0.0.2,1,2\n{bad_row}\n"
+    )
+    out = tmp_path / "out.csv"
+    assert main(["prepare", "--flows", str(flows_path), "--out", str(out), "--sort", sort]) == 1
+    assert f"error: line 3: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["prepare", "learn", "baseline", "stream"])
+@pytest.mark.parametrize("ts", [str(1 << 63), str(-(1 << 63) - 1), "1e30"])
+def test_timestamp_outside_int64_aborts_with_line_number(tmp_path, capsys, command, ts):
+    flows_path = tmp_path / "flows.csv"
+    flows_path.write_text(
+        "start_ts,end_ts,src_ip,dst_ip,src_port,dst_port\n"
+        "1,2,10.0.0.1,10.0.0.2,1,2\n"
+        f"{ts},{ts},10.0.0.2,10.0.0.1,2,1\n"
+    )
+    labels_path = tmp_path / "labels.txt"
+    labels_path.write_text("10.0.0.1\n")
+    out = tmp_path / "out"
+    graph = ["--labels", str(labels_path), "--pair-fraction", "0.01", "--learn-split", "1.0"]
+    args = {
+        "prepare": [],
+        "learn": [*graph, "--seed", "7"],
+        "baseline": graph,
+        "stream": ["--default-factors"],
+    }[command]
+    assert main([command, "--flows", str(flows_path), "--out", str(out), *args]) == 1
+    err = capsys.readouterr().err
+    assert f"error: line 3: timestamp {ts!r} out of int64 range" in err
+    assert not out.exists()
 
 
 def test_help_lists_commands(capsys):

@@ -1,5 +1,6 @@
 """Parsing, ordering, and deduplication of flow records."""
 
+import csv
 import io
 import random
 
@@ -95,19 +96,62 @@ class TestParse:
         with pytest.raises(FlowParseError, match="line 1: new-line character"):
             list(parse_flow_rows(["start_ts\r,end_ts\n"]))
 
-    def test_tokenizer_error_skipped_and_reader_resumes(self):
+    @pytest.mark.parametrize("on_error", ["abort", "skip"])
+    def test_tokenizer_error_is_fatal_in_both_modes(self, on_error):
+        # a bare CR in an unquoted field: skip mode must not resume after it
         lines = [
             HEADER + "\n",
             "1,2,10.0.0.5,10.0.0.9,1,2\n",
             "1,2,10.0\r.0.5,10.0.0.9,1,2\n",
             "3,4,10.0.0.5,10.0.0.9,1,2\n",
-            "5,6,bad,10.0.0.9,1,2\n",
         ]
         stats = ParseStats()
-        rows = list(parse_flow_rows(lines, on_error="skip", stats=stats))
-        assert [row[4] for row in rows] == [1, 3]
-        assert (stats.rows, stats.parsed, stats.skipped) == (4, 2, 2)
-        assert [line for line, _ in stats.errors] == [3, 5]
+        rows = []
+        with pytest.raises(FlowParseError, match="line 3: new-line character"):
+            rows.extend(parse_flow_rows(lines, on_error=on_error, stats=stats))
+        assert [row[4] for row in rows] == [1]
+        assert (stats.rows, stats.parsed, stats.skipped) == (1, 1, 0)
+
+    @pytest.mark.parametrize("on_error", ["abort", "skip"])
+    def test_overlong_quoted_field_yields_nothing_from_inside_it(self, on_error):
+        # A quoted field opens on line 3 past the field limit and closes on
+        # line 5; line 4, inside it, would read as a whole flow if the
+        # reader resumed after the error.
+        lines = [
+            HEADER + "\n",
+            "1,2,10.0.0.5,10.0.0.9,1,2\n",
+            '3,4,10.0.0.5,10.0.0.9,1,"' + "x" * 60 + "\n",
+            "5,6,10.0.0.9,10.0.0.8,7,8\n",
+            '9"\n',
+        ]
+        rows = []
+        limit = csv.field_size_limit(50)
+        try:
+            with pytest.raises(FlowParseError, match="line 3: field larger than field limit"):
+                rows.extend(parse_flow_rows(lines, on_error=on_error))
+        finally:
+            csv.field_size_limit(limit)
+        assert ("10.0.0.9", "10.0.0.8", 7, 8, 5, 6) not in rows
+        assert rows == [("10.0.0.5", "10.0.0.9", 1, 2, 1, 2)]
+
+    @pytest.mark.parametrize("ts", [str(1 << 63), str(-(1 << 63) - 1), "1e30", " 9.3e18"])
+    def test_timestamp_outside_int64_rejected(self, ts):
+        message = f"timestamp {ts.strip()!r} out of int64 range"
+        # the bad timestamp as start and end, then as end only
+        for bad_row in (f"{ts},{ts},10.0.0.5,10.0.0.9,1,2", f"0,{ts},10.0.0.5,10.0.0.9,1,2"):
+            text = f"{HEADER}\n1,2,10.0.0.5,10.0.0.9,1,2\n{bad_row}\n3,4,10.0.0.5,10.0.0.9,1,2\n"
+            with pytest.raises(FlowParseError, match=f"line 3: {message}"):
+                parse_text(text)
+            stats = ParseStats()
+            rows = parse_text(text, on_error="skip", stats=stats)
+            assert [row.start_ts for row in rows] == [1, 3]
+            assert stats.errors == [(3, message)]
+
+    def test_int64_limits_accepted(self):
+        low, high = -(1 << 63), (1 << 63) - 1
+        text = f"{HEADER}\n{low},{high},10.0.0.5,10.0.0.9,1,2\n{high},{high},a::1,b::2,3,4\n"
+        rows = parse_text(text)
+        assert [(row.start_ts, row.end_ts) for row in rows] == [(low, high), (high, high)]
 
     def test_column_mapping_and_extra_columns(self):
         text = (
@@ -301,6 +345,13 @@ class TestRecordInvariants:
             FlowRecord("10.0.0.1", "10.0.0.2", -1, 2, 1, 2)
         with pytest.raises(ValueError):
             FlowRecord("10.0.0.1", "10.0.0.2", 1, 65536, 1, 2)
+
+    @pytest.mark.parametrize("value", [1 << 63, -(1 << 63) - 1, 1e30])
+    def test_timestamp_outside_int64(self, value):
+        with pytest.raises(ValueError, match="start_ts out of int64 range"):
+            FlowRecord("10.0.0.1", "10.0.0.2", 1, 2, value, value)
+        with pytest.raises(ValueError, match="end_ts out of int64 range"):
+            FlowRecord("10.0.0.1", "10.0.0.2", 1, 2, 0, value)
 
     def test_self_flow_is_legal(self):
         rec = FlowRecord("10.0.0.1", "10.0.0.1", 1, 2, 1, 2)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from keyterrain.flows import PortPair, dedupe_flows
+from keyterrain.flows import FlowParseError, ParseStats, PortPair, dedupe_flows, parse_flow_rows
 from keyterrain.graph import (
     GraphBuildError,
     PortPairCensus,
@@ -228,14 +228,16 @@ def test_census_and_build_match_triple_oracle(records, retained):
     assert buf.getvalue() == expected["edge_list"]
 
 
-# Starts at and beyond the int64 limits, where the column dedupe ranks starts
-BIG_STARTS = (-(1 << 63), (1 << 63) - 1, 1 << 63, -(10**30), 10**30)
+# Starts at the int64 limits, the widest the parser lets through
+INT64_MAX = (1 << 63) - 1
+BIG_STARTS = (-(1 << 63), INT64_MAX)
 
 
 @st.composite
 def flow_files(draw):
-    """Plain flow rows with self-flows, IPv6 text, huge starts, and re-exports:
-    copies of an earlier row's dedupe key, placed later, with a later end_ts."""
+    """Plain flow rows with self-flows, IPv6 text, starts at the int64 limits,
+    and re-exports: copies of an earlier row's dedupe key, placed later, with
+    a later end_ts (capped at the int64 limit)."""
     ip = st.sampled_from(ORACLE_IPS + ("fe80::1",))
     start = st.one_of(st.integers(0, 3), st.sampled_from(BIG_STARTS))
     drawn = draw(st.lists(
@@ -243,11 +245,12 @@ def flow_files(draw):
                   start, st.integers(0, 2)),
         max_size=40,
     ))
-    rows = [(s, d, sp, dp, t, t + extra) for s, d, sp, dp, t, extra in drawn]
+    rows = [(s, d, sp, dp, t, min(t + extra, INT64_MAX)) for s, d, sp, dp, t, extra in drawn]
     for _ in range(draw(st.integers(0, 8)) if rows else 0):
         at = draw(st.integers(0, len(rows) - 1))
         *key, end = rows[at]
-        rows.insert(draw(st.integers(at + 1, len(rows))), (*key, end + draw(st.integers(1, 5))))
+        end = min(end + draw(st.integers(1, 5)), INT64_MAX)
+        rows.insert(draw(st.integers(at + 1, len(rows))), (*key, end))
     return rows
 
 
@@ -262,19 +265,20 @@ ON_THRESHOLD = [
 ]
 
 
-# one key with a start of 0 and a start beyond int64: two flows, not duplicates
-PAST_INT64 = [
+# one key with starts at 0 and at both int64 limits: three flows, and one
+# re-export of the lowest
+AT_INT64_LIMITS = [
     ("10.0.0.1", "10.0.0.2", 80, 443, 0, 0),
-    ("10.0.0.1", "10.0.0.2", 80, 443, 1 << 63, 1 << 63),
-    ("10.0.0.1", "10.0.0.2", 80, 443, 10**30, 10**30),
-    ("10.0.0.1", "10.0.0.2", 80, 443, 1 << 63, 1 << 64),
+    ("10.0.0.1", "10.0.0.2", 80, 443, INT64_MAX, INT64_MAX),
+    ("10.0.0.1", "10.0.0.2", 80, 443, -(1 << 63), 0),
+    ("10.0.0.1", "10.0.0.2", 80, 443, -(1 << 63), 5),
 ]
 
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(rows=flow_files(), data=st.data())
 @example(rows=ON_THRESHOLD, data=None)
-@example(rows=PAST_INT64, data=None)
+@example(rows=AT_INT64_LIMITS, data=None)
 def test_learning_graph_matches_row_path_oracle(rows, data):
     if data is None:
         split, fraction = 1.0, 0.25
@@ -313,6 +317,24 @@ def test_learning_graph_matches_row_path_oracle(rows, data):
     assert built.edge_src.tolist() == graph.edge_src.tolist()
     assert built.edge_dst.tolist() == graph.edge_dst.tolist()
     assert built.edge_pair_id.tolist() == graph.edge_pair_id.tolist()
+
+
+# a key with a start of 0 and starts beyond int64, as flow file text
+PAST_INT64 = "start_ts,end_ts,src_ip,dst_ip,src_port,dst_port\n" + "".join(
+    f"{start},{end},10.0.0.1,10.0.0.2,80,443\n"
+    for start, end in [(0, 0), (1 << 63, 1 << 63), ("1e30", "1e30"), (1 << 63, 1 << 64)]
+)
+
+
+def test_starts_past_int64_never_reach_the_graph():
+    message = "line 3: timestamp '9223372036854775808' out of int64 range"
+    with pytest.raises(FlowParseError, match=message):
+        learning_graph(parse_flow_rows(io.StringIO(PAST_INT64)), 1.0, 0.25)
+    stats = ParseStats()
+    rows = parse_flow_rows(io.StringIO(PAST_INT64), on_error="skip", stats=stats)
+    graph, info = learning_graph(rows, 1.0, 0.25)
+    assert info["flows_total"] == 1 and graph.edge_count == 1
+    assert [line for line, _ in stats.errors] == [3, 4, 5]
 
 
 def test_on_threshold_example_drops_the_pair_on_the_threshold():

@@ -7,10 +7,12 @@ import ipaddress
 import tempfile
 from operator import attrgetter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import keyterrain.flows as flows_module
+from keyterrain.cli import main
 from keyterrain.flows import (
     CANONICAL_COLUMNS,
     FlowParseError,
@@ -41,12 +43,17 @@ def underscored(value: int) -> str:
 
 
 timestamps = st.integers(-(10**13), 2 * 10**12)
+INT64_EDGE_TEXTS = (
+    str((1 << 63) - 1), str(1 << 63), str(-(1 << 63)), str(-(1 << 63) - 1), "9.3e18", "-9.3e18"
+)
 timestamp_text = padded(
     st.one_of(
         timestamps.map(str),
         timestamps.map(underscored),
         st.floats(-1e13, 1e13, allow_nan=False).map(repr),
         st.sampled_from(("nope", "", "1e3", "nan", "inf", "-inf", "1e400", "1__0", "0x10")),
+        # at and just past the int64 limits, as int text and as float text
+        st.sampled_from(INT64_EDGE_TEXTS),
     )
 )
 ports = st.one_of(st.integers(-5, 70_000), st.sampled_from((-1, 0, 65535, 65536)))
@@ -172,6 +179,20 @@ def test_write_then_parse_returns_the_input(records):
     assert write_flows(records, buf) == len(records)
     buf.seek(0)
     assert list(parse_flows(buf)) == records
+
+
+@pytest.mark.parametrize("sort", ["none", "start", "end"])
+def test_prepare_keeps_int64_edge_timestamps_byte_identical(tmp_path, sort):
+    low, high = -(1 << 63), (1 << 63) - 1
+    text = ",".join(CANONICAL_COLUMNS) + "\n" + "".join(
+        f"{start},{end},10.0.0.{i},10.0.0.9,1,2\n"
+        for i, (start, end) in enumerate([(low, low), (low, high), (0, high), (high, high)])
+    )
+    flows_path, out = tmp_path / "flows.csv", tmp_path / "out.csv"
+    flows_path.write_text(text)
+    assert main(["prepare", "--flows", str(flows_path), "--out", str(out),
+                 "--sort", sort, "--dedupe"]) == 0
+    assert out.read_text() == text
 
 
 # scoped IPv6 text keeps its scope as given; these scopes hold every
