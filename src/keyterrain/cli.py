@@ -15,18 +15,10 @@ from pathlib import Path
 from .constants import DEFAULT_DAMPING, HEURISTICS
 from .flows import ParseStats, dedupe_flows, parse_flow_rows, sort_flows, write_flows
 
-SEED_ENV_VAR = "KEYTERRAIN_SEED"
-
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
     import secrets  # only an unseeded run loads it
 
     return secrets.randbits(32)
@@ -55,7 +47,11 @@ def _parse_column_mapping(text: str | None) -> dict | None:
         semantic, _, actual = item.partition("=")
         if not semantic or not actual:
             raise ValueError(f"bad column mapping entry {item!r}; use semantic=actual")
-        mapping[semantic.strip()] = actual.strip()
+        semantic = semantic.strip()
+        # one column may serve two fields; a field named twice would keep its last column
+        if semantic in mapping:
+            raise ValueError(f"column mapping names {semantic!r} twice")
+        mapping[semantic] = actual.strip()
     return mapping
 
 

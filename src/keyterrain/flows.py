@@ -71,9 +71,6 @@ class FlowRecord(_FlowFields):
             raise ValueError(f"start_ts {start_ts} after end_ts {end_ts}")
         return super().__new__(cls, src_ip, dst_ip, src_port, dst_port, start_ts, end_ts)
 
-    def port_pair(self) -> PortPair:
-        return PortPair(self.src_port, self.dst_port)
-
 
 @dataclass
 class ParseStats:

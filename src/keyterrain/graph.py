@@ -66,7 +66,6 @@ class StaticGraph:
 
     def __init__(self, vertices: Iterable[str], src, dst, src_port, dst_port):
         self.vertices: list[str] = list(vertices)
-        self.vertex_index: dict[str, int] = {ip: i for i, ip in enumerate(self.vertices)}
         src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
         pair_key = _pair_key(
             np.asarray(src_port, dtype=np.int64), np.asarray(dst_port, dtype=np.int64)

@@ -139,8 +139,6 @@ def default_iteration(graph: StaticGraph, prev: np.ndarray, damping: float) -> n
 
 def edge_factor_values(graph: StaticGraph, table: DampingTable) -> np.ndarray:
     """Resolved damping factor for every edge, in stored edge order."""
-    if not graph.pairs:
-        return np.zeros(0)
     per_pair = np.fromiter(
         (table.lookup(pair) for pair in graph.pairs), dtype=float, count=len(graph.pairs)
     )

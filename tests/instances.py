@@ -47,6 +47,16 @@ def graph_of(edges) -> StaticGraph:
     return build_static_graph(records, retained)
 
 
+def vertex_of(graph: StaticGraph, ip: str) -> int:
+    """The vertex id of ``ip`` in ``graph``."""
+    return graph.vertices.index(ip)
+
+
+def port_pairs_of(records) -> set[PortPair]:
+    """Every port pair the records carry: the retained set that keeps them all."""
+    return {PortPair(r.src_port, r.dst_port) for r in records}
+
+
 def edge_triples(graph: StaticGraph) -> list[tuple[int, int, PortPair]]:
     """Edge triples (src_vertex, dst_vertex, pair) in stored order."""
     pairs = [graph.pairs[p] for p in graph.edge_pair_id.tolist()]
@@ -212,7 +222,7 @@ def ring5_flow(u, v, ts):
 def ring5_graph() -> StaticGraph:
     """Strongly connected 5-vertex graph with vertex 0 as the clear hub."""
     records = [ring5_flow(u, v, i) for i, (u, v) in enumerate(RING5_EDGES)]
-    return build_static_graph(records, {r.port_pair() for r in records})
+    return build_static_graph(records, port_pairs_of(records))
 
 
 def ring5_stream(repetitions=200, seed=7):
@@ -361,7 +371,7 @@ def count_port_pairs_by_records(records):
     counts = Counter()
     total = 0
     for rec in records:
-        counts[rec.port_pair()] += 1
+        counts[PortPair(rec.src_port, rec.dst_port)] += 1
         total += 1
     return dict(counts), total
 
@@ -378,7 +388,7 @@ def static_graph_by_triples(records, retained):
     vertices: list[str] = []
     triples = []
     for rec in records:
-        pair = rec.port_pair()
+        pair = PortPair(rec.src_port, rec.dst_port)
         if pair not in retained:
             continue
         src = vertex_index.get(rec.src_ip)
@@ -399,7 +409,6 @@ def static_graph_by_triples(records, retained):
         out_degree[src] += 1
     return {
         "vertices": vertices,
-        "vertex_index": vertex_index,
         "pairs": pairs,
         "edge_src": [s for s, _, _ in triples],
         "edge_dst": [d for _, d, _ in triples],

@@ -38,11 +38,13 @@ from instances import (
     dense_power_iteration,
     graph_of,
     ip_of,
+    port_pairs_of,
     random_damping_table,
     random_multigraph,
     ring5_graph,
     ring5_stream,
     star_instance,
+    vertex_of,
     without_dangling,
 )
 
@@ -127,9 +129,9 @@ def test_criterion_3_hand_computed_iterations():
         ]
     )
     out = default_iteration(three, init_scores(three), 0.85)
-    a = three.vertex_index["10.0.0.1"]
-    b = three.vertex_index["10.0.0.2"]
-    c = three.vertex_index["10.0.0.3"]
+    a = vertex_of(three, "10.0.0.1")
+    b = vertex_of(three, "10.0.0.2")
+    c = vertex_of(three, "10.0.0.3")
     gaps = [
         abs(out[a] - (0.05 + 0.85 * (2.0 / 3.0))),
         abs(out[b] - (0.05 + 0.85 / 6.0)),
@@ -139,8 +141,8 @@ def test_criterion_3_hand_computed_iterations():
     pair = PortPair(1000, 2000)
     two = graph_of([("10.0.0.1", "10.0.0.2", tuple(pair))])
     out2 = adjusted_iteration(two, np.array([0.5, 0.5]), DampingTable({pair: 0.85}))
-    gaps.append(abs(out2[two.vertex_index["10.0.0.1"]] - 0.075))
-    gaps.append(abs(out2[two.vertex_index["10.0.0.2"]] - 0.925))
+    gaps.append(abs(out2[vertex_of(two, "10.0.0.1")] - 0.075))
+    gaps.append(abs(out2[vertex_of(two, "10.0.0.2")] - 0.925))
     worst = max(gaps)
     report(
         "criterion 3 (hand-computed iterations)",
@@ -151,7 +153,7 @@ def test_criterion_3_hand_computed_iterations():
 
 def test_criterion_4_learner_on_planted_star():
     records, labels = star_instance()
-    graph = build_static_graph(records, {r.port_pair() for r in records})
+    graph = build_static_graph(records, port_pairs_of(records))
     started = time.perf_counter()
     results = {}
     for heuristic in HEURISTICS:

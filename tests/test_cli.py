@@ -47,6 +47,17 @@ def star_files(tmp_path):
     return flows_path, labels_path
 
 
+@pytest.fixture
+def tangled_files(tmp_path):
+    records, labels = tangled_instance()
+    flows_path = tmp_path / "tangled.csv"
+    with open(flows_path, "w", newline="") as fh:
+        write_flows(records, fh)
+    labels_path = tmp_path / "tangled_labels.txt"
+    labels_path.write_text("".join(f"{ip}\n" for ip in sorted(labels.addresses)))
+    return flows_path, labels_path
+
+
 def read_flow_file(path):
     with open(path, newline="") as fh:
         return list(parse_flows(fh))
@@ -155,6 +166,26 @@ class TestPrepare:
         assert code == 0
         assert read_flow_file(out) == [flow("10.0.0.1", "10.0.0.2", 1, 2, 5, 6)]
 
+    def test_column_mapping_lets_one_column_serve_two_fields(self, tmp_path):
+        # as a single-timestamp export needs
+        src = tmp_path / "in.csv"
+        src.write_text("ts,src_ip,dst_ip,src_port,dst_port\n7,10.0.0.1,10.0.0.2,1,2\n")
+        out = tmp_path / "out.csv"
+        args = ["prepare", "--flows", str(src), "--out", str(out),
+                "--columns", "start_ts=ts,end_ts=ts"]
+        assert main(args) == 0
+        assert read_flow_file(out) == [flow("10.0.0.1", "10.0.0.2", 1, 2, 7, 7)]
+
+    def test_column_mapping_rejects_a_field_named_twice(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_text("a,b,src_ip,dst_ip,src_port,dst_port\n1,2,10.0.0.1,10.0.0.2,1,2\n")
+        out = tmp_path / "out.csv"
+        args = ["prepare", "--flows", str(src), "--out", str(out),
+                "--columns", "start_ts=a,end_ts=b,start_ts=b"]
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: column mapping names 'start_ts' twice\n"
+        assert not out.exists()
+
     def test_missing_input_file(self, tmp_path, capsys):
         assert main(["prepare", "--flows", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o.csv")]) == 1
         assert "error:" in capsys.readouterr().err
@@ -208,14 +239,30 @@ class TestLearn:
         assert code == 1
         assert "learning graph" in capsys.readouterr().err
 
-    def test_env_seed_fallback(self, star_files, tmp_path, capsys, monkeypatch):
-        flows_path, labels_path = star_files
+    def test_unseeded_run_records_the_seed_it_drew(
+        self, tangled_files, tmp_path, capsys, monkeypatch
+    ):
+        # the star's outputs are the same under every seed, the tangled
+        # instance's are not, so only here does the rerun test the seed
+        flows_path, labels_path = tangled_files
+        # the environment sets no seed: only --seed does
         monkeypatch.setenv("KEYTERRAIN_SEED", "7")
-        args = learn_args(flows_path, labels_path, tmp_path / "out")
-        args.remove("--seed")
-        args.remove("7")
+        drawn_dir, rerun_dir = tmp_path / "drawn", tmp_path / "rerun"
+        args = learn_args(flows_path, labels_path, drawn_dir, max_iterations=60)
+        at = args.index("--seed")
+        del args[at:at + 2]
         assert main(args) == 0
-        assert "seed = 7" in capsys.readouterr().out
+        printed = [line.strip() for line in capsys.readouterr().out.splitlines()]
+        seeds = [line for line in printed if line.startswith("seed = ")]
+        assert len(seeds) == 1
+        seed = int(seeds[0].removeprefix("seed = "))
+        assert seed != 7  # a 32-bit draw is 7 once in 2**32 runs
+        assert json.loads((drawn_dir / "report.json").read_text())["config"]["seed"] == seed
+
+        rerun = learn_args(flows_path, labels_path, rerun_dir, max_iterations=60, seed=seed)
+        assert main(rerun) == 0
+        for name in ("factors.csv", "f1_trace.csv"):
+            assert (rerun_dir / name).read_bytes() == (drawn_dir / name).read_bytes(), name
 
     def test_hyphenated_heuristic_accepted(self, star_files, tmp_path):
         flows_path, labels_path = star_files

@@ -226,7 +226,6 @@ class TestRowForm:
         rec = FlowRecord("10.0.0.1", "10.0.0.2", 1, 2, 3, 4)
         assert rec == ("10.0.0.1", "10.0.0.2", 1, 2, 3, 4)
         assert hash(rec) == hash(tuple(rec))
-        assert rec.port_pair() == PortPair(1, 2)
 
 
 def random_records(rng, count=200):

@@ -26,8 +26,10 @@ from instances import (
     flow,
     graph_of,
     learning_graph_by_rows,
+    port_pairs_of,
     random_multigraph,
     static_graph_by_triples,
+    vertex_of,
 )
 
 
@@ -83,7 +85,7 @@ class TestBuild:
         graph = build_static_graph(records, {PortPair(5, 6)})
         assert graph.n == 2
         assert graph.edge_count == 1
-        a, b = graph.vertex_index["10.0.0.1"], graph.vertex_index["10.0.0.2"]
+        a, b = vertex_of(graph, "10.0.0.1"), vertex_of(graph, "10.0.0.2")
         assert graph.out_degree[a] == 1
         assert graph.out_degree[b] == 0
         assert edge_triples(graph) == [(a, b, PortPair(5, 6))]
@@ -100,7 +102,7 @@ class TestBuild:
                  rng.randrange(3), rng.randrange(3), i)
             for i in range(10)
         ]
-        graph = build_static_graph(records, {r.port_pair() for r in records})
+        graph = build_static_graph(records, port_pairs_of(records))
         assert graph.edge_count == 10
         assert int(graph.out_degree.sum()) == 10
 
@@ -111,7 +113,7 @@ class TestBuild:
         ]
         graph = build_static_graph(records, {PortPair(5, 6)})
         assert graph.n == 2
-        assert "10.0.0.3" not in graph.vertex_index
+        assert "10.0.0.3" not in graph.vertices
 
     def test_parallel_edges_kept(self):
         edges = [
@@ -121,7 +123,7 @@ class TestBuild:
         ]
         graph = graph_of(edges)
         assert graph.edge_count == 3
-        assert graph.out_degree[graph.vertex_index["10.0.0.1"]] == 3
+        assert graph.out_degree[vertex_of(graph, "10.0.0.1")] == 3
 
     def test_self_loop_counts_toward_out_degree(self):
         graph = graph_of([("10.0.0.1", "10.0.0.1", (5, 6))])
@@ -216,7 +218,6 @@ def test_census_and_build_match_triple_oracle(records, retained):
         return
     graph = build_static_graph(records, retained)
     assert graph.vertices == expected["vertices"]
-    assert graph.vertex_index == expected["vertex_index"]
     assert graph.pairs == expected["pairs"]
     assert all(type(pair) is PortPair for pair in graph.pairs)
     for name in ("edge_src", "edge_dst", "edge_pair_id", "out_degree"):
@@ -301,7 +302,6 @@ def test_learning_graph_matches_row_path_oracle(rows, data):
     graph, info = learning_graph(iter(rows), split, fraction)
     assert info == expected_info
     assert graph.vertices == expected.vertices
-    assert graph.vertex_index == expected.vertex_index
     assert graph.pairs == expected.pairs
     assert all(type(pair) is PortPair for pair in graph.pairs)
     for name in ("edge_src", "edge_dst", "edge_pair_id", "out_degree"):

@@ -21,7 +21,7 @@ from keyterrain.learning import (
 from keyterrain.pagerank import DampingTable, init_scores, write_damping_table
 from keyterrain.graph import StaticGraph
 
-from instances import graph_of, plain_star_instance, star_instance
+from instances import graph_of, plain_star_instance, port_pairs_of, star_instance, vertex_of
 from keyterrain.graph import build_static_graph
 
 P = PortPair(1000, 2000)
@@ -58,7 +58,7 @@ class TestEvaluateClassification:
             np.array([0.6, 0.6]), graph, AddressSet(["10.0.0.2"])
         )
         assert f1 == pytest.approx(2 / 3)
-        assert np.array_equal(miscl, vertex_mask(graph, graph.vertex_index["10.0.0.1"]))
+        assert np.array_equal(miscl, vertex_mask(graph, vertex_of(graph, "10.0.0.1")))
 
     def test_nothing_predicted(self):
         graph = single_edge()
@@ -66,7 +66,7 @@ class TestEvaluateClassification:
             np.array([0.5, 0.5]), graph, AddressSet(["10.0.0.2"])
         )
         assert f1 == 0.0
-        assert np.array_equal(miscl, vertex_mask(graph, graph.vertex_index["10.0.0.2"]))
+        assert np.array_equal(miscl, vertex_mask(graph, vertex_of(graph, "10.0.0.2")))
 
     def test_cidr_labels(self):
         graph = single_edge()
@@ -84,13 +84,13 @@ class TestEvaluateClassification:
 class TestChooseConflictPortPair:
     def test_single_incoming_edge(self):
         graph = single_edge()
-        target = graph.vertex_index["10.0.0.2"]
+        target = vertex_of(graph, "10.0.0.2")
         pair = choose_conflict_port_pair(graph, vertex_mask(graph, target), random.Random(0))
         assert pair == P
 
     def test_fallback_to_outgoing(self):
         graph = single_edge()
-        source = graph.vertex_index["10.0.0.1"]
+        source = vertex_of(graph, "10.0.0.1")
         pair = choose_conflict_port_pair(graph, vertex_mask(graph, source), random.Random(0))
         assert pair == P
 
@@ -117,7 +117,7 @@ class TestChooseConflictPortPair:
                 ("10.0.0.2", "10.0.0.9", (2, 2)),
             ]
         )
-        target = vertex_mask(graph, graph.vertex_index["10.0.0.9"])
+        target = vertex_mask(graph, vertex_of(graph, "10.0.0.9"))
         rng = random.Random(123)
         draws = sum(
             choose_conflict_port_pair(graph, target, rng) == PortPair(1, 1)
@@ -132,7 +132,7 @@ class TestChooseConflictPortPair:
                 ("10.0.0.9", "10.0.0.2", (2, 2)),
             ]
         )
-        target = vertex_mask(graph, graph.vertex_index["10.0.0.9"])
+        target = vertex_mask(graph, vertex_of(graph, "10.0.0.9"))
         rng = random.Random(5)
         for _ in range(50):
             assert choose_conflict_port_pair(graph, target, rng) == PortPair(1, 1)
@@ -278,7 +278,7 @@ class TestHillClimbWorseGrid:
 class TestLearn:
     def test_loop_guard_instance(self):
         records, labels = plain_star_instance()
-        graph = build_static_graph(records, {r.port_pair() for r in records})
+        graph = build_static_graph(records, port_pairs_of(records))
         result = learn(graph, labels, LearnConfig(seed=7))
         assert result.best_f1 == 1.0
         assert result.iterations_run == 0
@@ -288,14 +288,14 @@ class TestLearn:
     @pytest.mark.parametrize("heuristic", HEURISTICS)
     def test_star_instance_reaches_perfect_f1(self, heuristic):
         records, labels = star_instance()
-        graph = build_static_graph(records, {r.port_pair() for r in records})
+        graph = build_static_graph(records, port_pairs_of(records))
         result = learn(graph, labels, LearnConfig(heuristic=heuristic, seed=7))
         assert result.best_f1 == 1.0
         assert result.iterations_run <= 1000
 
     def test_deterministic_under_seed(self):
         records, labels = star_instance()
-        graph = build_static_graph(records, {r.port_pair() for r in records})
+        graph = build_static_graph(records, port_pairs_of(records))
         config = LearnConfig(heuristic="minimum", seed=42)
         a = learn(graph, labels, config)
         b = learn(graph, labels, config)
@@ -304,14 +304,14 @@ class TestLearn:
 
     def test_best_is_max_of_trace(self):
         records, labels = star_instance()
-        graph = build_static_graph(records, {r.port_pair() for r in records})
+        graph = build_static_graph(records, port_pairs_of(records))
         result = learn(graph, labels, LearnConfig(seed=3))
         assert result.best_f1 == max(result.f1_trace)
         assert len(result.f1_trace) == result.iterations_run + 1
 
     def test_best_f1_monotone_in_max_iterations(self):
         records, labels = star_instance()
-        graph = build_static_graph(records, {r.port_pair() for r in records})
+        graph = build_static_graph(records, port_pairs_of(records))
         best = []
         for limit in (0, 1, 2, 5, 10):
             result = learn(
@@ -345,7 +345,7 @@ class TestLearn:
 
     def test_initial_factors_cover_all_retained_pairs(self):
         records, labels = star_instance()
-        graph = build_static_graph(records, {r.port_pair() for r in records})
+        graph = build_static_graph(records, port_pairs_of(records))
         result = learn(graph, labels, LearnConfig(seed=7, max_iterations=0))
         assert set(result.best_factors.factors) == set(graph.pairs)
 

@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -122,3 +123,12 @@ def test_learn_help_lists_heuristics(capsys):
     out = capsys.readouterr().out
     for name in ("minimum", "maximum", "average", "smallest-difference"):
         assert name in out
+
+
+def test_every_name_the_traced_benchmark_calls_resolves():
+    # the traced pass of bench/run.py reaches the package only as ``kt.<name>``,
+    # and no test runs it, so a deleted name would surface only there
+    tracing = (Path(__file__).resolve().parents[1] / "bench" / "tracing.py").read_text()
+    names = sorted(set(re.findall(r"\bkt\.([A-Za-z_]\w*)", tracing)))
+    assert names
+    assert [name for name in names if not hasattr(keyterrain, name)] == []

@@ -14,6 +14,7 @@ from keyterrain.pagerank import (
     classify,
     contraction_bound,
     default_iteration,
+    edge_factor_values,
     init_scores,
     load_damping_table,
     read_damping_table,
@@ -34,6 +35,7 @@ from instances import (
     random_damping_table,
     random_multigraph,
     step_rounding,
+    vertex_of,
     without_dangling,
 )
 
@@ -90,9 +92,9 @@ class TestDefaultIteration:
     def test_three_vertex_hand_values(self):
         graph = three_vertex()
         out = default_iteration(graph, init_scores(graph), 0.85)
-        a = graph.vertex_index["10.0.0.1"]
-        b = graph.vertex_index["10.0.0.2"]
-        c = graph.vertex_index["10.0.0.3"]
+        a = vertex_of(graph, "10.0.0.1")
+        b = vertex_of(graph, "10.0.0.2")
+        c = vertex_of(graph, "10.0.0.3")
         assert out[a] == pytest.approx(0.05 + 0.85 * (2.0 / 3.0), abs=1e-12)
         assert out[b] == pytest.approx(0.05 + 0.85 / 6.0, abs=1e-12)
         assert out[c] == pytest.approx(0.05 + 0.85 / 6.0, abs=1e-12)
@@ -141,11 +143,18 @@ class TestAdjustedIteration:
         graph = single_edge()
         table = DampingTable({PortPair(1000, 2000): 0.85})
         out = adjusted_iteration(graph, np.array([0.5, 0.5]), table)
-        a = graph.vertex_index["10.0.0.1"]
-        b = graph.vertex_index["10.0.0.2"]
+        a = vertex_of(graph, "10.0.0.1")
+        b = vertex_of(graph, "10.0.0.2")
         assert out[a] == pytest.approx(0.5 - 0.85 * 0.5, abs=1e-12)
         assert out[b] == pytest.approx(0.5 + 0.85 * 0.5, abs=1e-12)
         assert out.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_edgeless_graph_gives_uniform(self):
+        graph = StaticGraph(["10.0.0.1", "10.0.0.2"], [], [], [], [])
+        factors = edge_factor_values(graph, DampingTable())
+        assert factors.dtype == float and factors.shape == (0,)
+        out = adjusted_iteration(graph, np.array([0.7, 0.3]), DampingTable())
+        assert out.tolist() == [0.5, 0.5]
 
     def test_all_zero_factors_give_uniform(self):
         graph = three_vertex()
@@ -196,11 +205,11 @@ class TestAdjustedIteration:
         )
         table = DampingTable({pair: 1.0 for pair in graph.pairs})
         prev = np.zeros(graph.n)
-        prev[graph.vertex_index["10.0.0.9"]] = 0.9
-        prev[graph.vertex_index["10.0.0.1"]] = 0.05
-        prev[graph.vertex_index["10.0.0.2"]] = 0.05
+        prev[vertex_of(graph, "10.0.0.9")] = 0.9
+        prev[vertex_of(graph, "10.0.0.1")] = 0.05
+        prev[vertex_of(graph, "10.0.0.2")] = 0.05
         out = adjusted_iteration(graph, prev, table)
-        assert out[graph.vertex_index["10.0.0.9"]] < 0.0
+        assert out[vertex_of(graph, "10.0.0.9")] < 0.0
         assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -218,7 +227,7 @@ class TestAdjustedIteration:
     def test_unstored_pair_resolves_to_default(self):
         graph = single_edge()
         out = adjusted_iteration(graph, np.array([0.5, 0.5]), DampingTable({}, 0.4))
-        a = graph.vertex_index["10.0.0.1"]
+        a = vertex_of(graph, "10.0.0.1")
         assert out[a] == pytest.approx(0.5 - 0.4 * 0.5, abs=1e-12)
 
 
