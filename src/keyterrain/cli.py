@@ -97,7 +97,7 @@ def cmd_prepare(args) -> int:
 def _learning_inputs(args):
     """Front end of learn and baseline: check the graph options, load the
     labels, then build the learning graph from the whole flow file."""
-    from .graph import check_fraction, learning_graph
+    from .graph import check_fraction, read_learning_graph
     from .labels import AddressSet
 
     if not 0.0 < args.learn_split <= 1.0:
@@ -105,7 +105,7 @@ def _learning_inputs(args):
     check_fraction(args.pair_fraction)
     labels = AddressSet.from_file(args.labels)
     with open(args.flows, encoding="utf-8", newline="") as fh:
-        graph, info = learning_graph(parse_flow_rows(fh), args.learn_split, args.pair_fraction)
+        graph, info = read_learning_graph(fh, args.learn_split, args.pair_fraction)
     return labels, graph, info
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import warnings
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -11,7 +14,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .flows import FlowRow, PortPair
+from .flows import CANONICAL_COLUMNS, FlowRow, PortPair, _canonical_ip, parse_flow_rows
 
 
 class GraphBuildError(ValueError):
@@ -124,6 +127,95 @@ def _row_columns(rows: Iterable[FlowRow]) -> tuple[list[str], list[np.ndarray]]:
     return list(ids), columns
 
 
+# Characters of text to read a block at a time, before the cut at the next line
+# end. A block's structured array and IP strings are a few hundred KB, so
+# larger blocks would raise the peak memory of a read.
+_BLOCK = 1 << 16
+
+
+def _plain(text: str) -> bool:
+    """Whether ``text``, whole lines of a flow file, reads alike through
+    numpy's reader and the csv tokenizer: ASCII with no quote, CR or NUL, no
+    empty line (numpy skips one, csv makes it a short row), and no field the
+    tokenizer could reject as over ``csv.field_size_limit()``."""
+    return (
+        text.isascii()
+        and len(text) <= csv.field_size_limit()
+        and not text.startswith("\n")
+        and not any(part in text for part in ('"', "\r", "\0", "\n\n"))
+    )
+
+
+class _IpIds(dict):
+    """The id of each raw IP text, one id per canonical IP (``by_canonical``)
+    in order of first sight. A text is canonicalised once, on its first
+    lookup, so ``_canonical_ip`` gets no cache to fill."""
+
+    def __init__(self):
+        super().__init__()
+        self.by_canonical: dict[str, int] = {}
+
+    def __missing__(self, text: str) -> int:
+        ids = self.by_canonical
+        ip_id = self[text] = ids.setdefault(_canonical_ip(text, {}), len(ids))
+        return ip_id
+
+
+def _plain_columns(fh: IO[str]) -> tuple[list[str], list[np.ndarray]]:
+    """``_row_columns(parse_flow_rows(fh))`` read by numpy's C reader. Raises
+    ValueError when the file is not plain canonical CSV (see ``_plain``), and
+    ValueError or OverflowError on a row numpy cannot read or the row parser
+    would reject; the messages are not the row parser's."""
+    header = fh.readline()
+    names = [name.strip() for name in header.split(",")]
+    if not _plain(header) or sorted(names) != sorted(CANONICAL_COLUMNS):
+        raise ValueError("not the canonical header")
+    dtype = np.dtype([(name, object if name.endswith("_ip") else np.int64) for name in names])
+    ids = _IpIds()
+    src, dst, src_port, dst_port, start = (array("q") for _ in range(5))
+    while block := fh.read(_BLOCK):
+        block += fh.readline()
+        if not _plain(block):
+            raise ValueError("not plain text")
+        rows = np.loadtxt(
+            io.StringIO(block), delimiter=",", dtype=dtype, comments=None, quotechar=None,
+            ndmin=1,
+        )
+        # a port in 0..65535 has no bit set above the 16th, and no sign bit
+        if ((rows["src_port"] | rows["dst_port"]) >> 16).any():
+            raise ValueError("port out of range")
+        if (rows["start_ts"] > rows["end_ts"]).any():
+            raise ValueError("start_ts after end_ts")
+        src.extend(map(ids.__getitem__, rows["src_ip"].tolist()))
+        dst.extend(map(ids.__getitem__, rows["dst_ip"].tolist()))
+        for column, name in ((src_port, "src_port"), (dst_port, "dst_port"), (start, "start_ts")):
+            column.frombytes(rows[name].tobytes())
+    columns = [np.frombuffer(c, dtype=np.int64) for c in (src, dst, src_port, dst_port, start)]
+    return list(ids.by_canonical), columns
+
+
+def flow_columns(fh: IO[str]) -> tuple[list[str], list[np.ndarray]]:
+    """The columns of ``_row_columns(parse_flow_rows(fh))`` for an open flow
+    file, up to the order of the IP ids.
+
+    Plain canonical CSV, as ``write_flows`` writes it, is read in blocks of
+    about 64 KB by numpy's C reader. Any other file, a file that cannot seek
+    back, and a file with a row numpy cannot read or the parser would reject
+    go through the row parser from the start, so every error is the parser's
+    own, with its message and line number.
+    """
+    if fh.seekable():
+        # numpy 1.23 reads a float text such as 8e1 into an int field and only
+        # warns that this is deprecated; the row parser rejects it as a port
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            try:
+                return _plain_columns(fh)
+            except (ValueError, OverflowError, DeprecationWarning):
+                fh.seek(0)
+    return _row_columns(parse_flow_rows(fh))
+
+
 def _graph_from_edges(ips: list[str], src, dst, src_port, dst_port) -> StaticGraph:
     """The graph over the edges of id columns, its vertices the IPs incident to
     them in order of first appearance, a row's source before its destination."""
@@ -155,10 +247,11 @@ def build_static_graph(records: Iterable[FlowRow], retained: set[PortPair]) -> S
     return _graph_from_edges(ips, src[edge], dst[edge], src_port[edge], dst_port[edge])
 
 
-def _learning_edges(rows: Iterable[FlowRow], split: float, fraction: float):
-    """The edge columns of ``learning_graph`` and its ``info`` without the
-    graph counts; the row columns are freed on return."""
-    ips, columns = _row_columns(rows)
+def _learning_edges(columns_of, source, split: float, fraction: float):
+    """The edge columns of the learning graph over ``columns_of(source)``
+    and its ``info`` without the graph counts; the row columns are freed on
+    return."""
+    ips, columns = columns_of(source)
     total = len(columns[0])
     prefix = int(total * split)
     columns = [column[:prefix] for column in columns]
@@ -202,7 +295,17 @@ def learning_graph(
     result equals ``build_static_graph`` over ``dedupe_flows`` of the prefix
     with the pairs ``filter_port_pairs`` retains from its census.
     """
-    ips, edges, info = _learning_edges(rows, split, fraction)
+    return _learning_graph(_row_columns, rows, split, fraction)
+
+
+def read_learning_graph(fh: IO[str], split: float, fraction: float) -> tuple[StaticGraph, dict]:
+    """``learning_graph(parse_flow_rows(fh), split, fraction)``, with the flow
+    file read by ``flow_columns``."""
+    return _learning_graph(flow_columns, fh, split, fraction)
+
+
+def _learning_graph(columns_of, source, split: float, fraction: float):
+    ips, edges, info = _learning_edges(columns_of, source, split, fraction)
     graph = _graph_from_edges(ips, *edges)
     info["vertices"] = graph.n
     info["edges"] = graph.edge_count

@@ -1,13 +1,24 @@
 """End-to-end CLI runs over temporary files."""
 
 import argparse
+import csv
 import hashlib
 import json
+import os
+import threading
+import warnings
 
 import pytest
 
+from keyterrain import graph as graph_module
 from keyterrain.cli import build_parser, main
-from keyterrain.flows import FlowRecord, parse_flows, write_flows
+from keyterrain.flows import (
+    CANONICAL_COLUMNS,
+    FlowRecord,
+    parse_flow_rows,
+    parse_flows,
+    write_flows,
+)
 from keyterrain.labels import AddressSet
 
 from instances import STAR_SERVER, flow, star_instance, tangled_instance
@@ -217,13 +228,19 @@ class TestLearn:
         assert "seed = 7" in out
         assert "best F1 1.0000" in out
 
-    def test_deterministic_factor_files(self, star_files, tmp_path):
-        flows_path, labels_path = star_files
-        first = tmp_path / "run1"
-        second = tmp_path / "run2"
-        assert main(learn_args(flows_path, labels_path, first, heuristic="minimum")) == 0
-        assert main(learn_args(flows_path, labels_path, second, heuristic="minimum")) == 0
-        assert (first / "factors.csv").read_bytes() == (second / "factors.csv").read_bytes()
+    def test_deterministic_factor_files(self, tangled_files, tmp_path):
+        # the star's factors are the same under every seed, the tangled
+        # instance's are not, so a seed that is ignored shows here
+        flows_path, labels_path = tangled_files
+
+        def factors(run, seed):
+            args = learn_args(flows_path, labels_path, tmp_path / run, max_iterations=60, seed=seed)
+            assert main(args) == 0
+            return (tmp_path / run / "factors.csv").read_bytes()
+
+        first = factors("first", 7)
+        assert factors("again", 7) == first
+        assert factors("other", 8) != first
 
     def test_missing_labels_file(self, star_files, tmp_path, capsys):
         flows_path, _ = star_files
@@ -851,6 +868,153 @@ def test_timestamp_outside_int64_aborts_with_line_number(tmp_path, capsys, comma
     err = capsys.readouterr().err
     assert f"error: line 3: timestamp {ts!r} out of int64 range" in err
     assert not out.exists()
+
+
+HEADER = ",".join(CANONICAL_COLUMNS) + "\n"
+# about 140 KB of plain rows: line 3002 lies past the reader's first 64 KB block
+PLAIN_ROWS = [
+    f"{i},{i + 1},10.0.{i % 7}.1,10.0.{i % 5}.2,{1000 + i % 3},443\n" for i in range(4000)
+]
+
+
+def learning_command(command, flows_path, labels_path, out):
+    args = [command, "--flows", str(flows_path), "--labels", str(labels_path),
+            "--pair-fraction", "0.01", "--out", str(out)]
+    return args + (["--seed", "7", "--max-iterations", "3"] if command == "learn" else [])
+
+
+def row_parser_error(flows_path):
+    """What main prints for the error the row parser raises on the file."""
+    with open(flows_path, encoding="utf-8", newline="") as fh:
+        with pytest.raises(ValueError) as excinfo:
+            for _ in parse_flow_rows(fh):
+                pass
+    return f"error: {excinfo.value}\n"
+
+
+@pytest.fixture
+def labels_path(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("10.0.0.1\n")
+    return path
+
+
+@pytest.mark.parametrize("command", ["learn", "baseline"])
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        ("9,9,10.0.0.3,not-an-ip,1,2", "bad IP address 'not-an-ip'"),
+        ("9,8,10.0.0.3,10.0.0.4,1,2", "start_ts 9 after end_ts 8"),
+        ("9,9,10.0.0.3,10.0.0.4,1,65536", "port out of range: 65536"),
+    ],
+)
+def test_row_error_past_the_first_block_is_worded_by_the_row_parser(
+    tmp_path, capsys, labels_path, command, bad_row, message
+):
+    flows_path = tmp_path / "flows.csv"
+    flows_path.write_text(HEADER + "".join(PLAIN_ROWS[:3000]) + bad_row + "\n"
+                          + "".join(PLAIN_ROWS[3000:]))
+    expected = row_parser_error(flows_path)
+    assert expected == f"error: line 3002: {message}\n"
+    out = tmp_path / "out"
+    assert main(learning_command(command, flows_path, labels_path, out)) == 1
+    assert capsys.readouterr().err == expected
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["learn", "baseline"])
+def test_undecodable_byte_is_reported_as_line_iteration_reports_it(
+    tmp_path, capsys, labels_path, command
+):
+    flows_path = tmp_path / "flows.csv"
+    bad_row = b"9,9,10.0.0.\xff,10.0.0.4,1,2\n"
+    flows_path.write_bytes((HEADER + "".join(PLAIN_ROWS[:3000])).encode() + bad_row
+                           + "".join(PLAIN_ROWS[3000:]).encode())
+    expected = row_parser_error(flows_path)
+    # a decode error's position is counted within the chunk being decoded,
+    # and 64 KB reads decode other chunks than line iteration does
+    with open(flows_path, encoding="utf-8", newline="") as fh:
+        with pytest.raises(UnicodeDecodeError) as blockwise:
+            while fh.read(1 << 16):
+                pass
+    assert f"error: {blockwise.value}\n" != expected
+    out = tmp_path / "out"
+    assert main(learning_command(command, flows_path, labels_path, out)) == 1
+    assert capsys.readouterr().err == expected
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("command", ["learn", "baseline"])
+def test_unseekable_flow_file_is_read_by_the_row_parser(
+    tangled_files, tmp_path, monkeypatch, command
+):
+    flows_path, labels_path = tangled_files
+    fifo = tmp_path / "flows.fifo"
+    os.mkfifo(fifo)
+    read_by_rows = []
+
+    def parse_rows(fh):
+        read_by_rows.append(fh.name)
+        return parse_flow_rows(fh)
+
+    monkeypatch.setattr(graph_module, "parse_flow_rows", parse_rows)
+    # opening a named pipe for writing waits for its reader
+    writer = threading.Thread(target=fifo.write_bytes, args=(flows_path.read_bytes(),))
+    writer.start()
+    try:
+        assert main(learning_command(command, fifo, labels_path, tmp_path / "piped")) == 0
+    finally:
+        writer.join(timeout=30)
+    assert read_by_rows == [str(fifo)]
+    assert main(learning_command(command, flows_path, labels_path, tmp_path / "file")) == 0
+    assert read_by_rows == [str(fifo)]
+    names = ["graph_edges.csv", "factors.csv"] if command == "learn" else []
+    for name in names:
+        piped, direct = (tmp_path / run / name for run in ("piped", "file"))
+        assert piped.read_bytes() == direct.read_bytes(), name
+    if command == "baseline":
+        piped, direct = (json.loads((tmp_path / run / "baseline.json").read_text())
+                         for run in ("piped", "file"))
+        del piped["config"], direct["config"]
+        assert piped == direct
+
+
+@pytest.mark.parametrize("command", ["learn", "baseline"])
+def test_header_only_flow_file_warns_of_nothing(tmp_path, capsys, labels_path, command):
+    flows_path = tmp_path / "flows.csv"
+    flows_path.write_text(HEADER)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(learning_command(command, flows_path, labels_path, tmp_path / "out")) == 1
+    assert capsys.readouterr().err == (
+        "error: no flows carry a retained port pair; the learning graph would be empty\n"
+    )
+
+
+@pytest.fixture
+def field_size_limit_50():
+    default = csv.field_size_limit(50)
+    yield
+    csv.field_size_limit(default)
+
+
+@pytest.mark.parametrize("command", ["learn", "baseline"])
+def test_field_size_limit_is_the_row_parsers(
+    tmp_path, capsys, labels_path, field_size_limit_50, command
+):
+    # every line is shorter than the limit and the file far longer; line 7
+    # holds a start_ts of 51 characters, a valid 1 under the default limit
+    lines = [HEADER, *PLAIN_ROWS[:5], "0" * 50 + "1,2,10.0.0.1,10.0.0.2,1,2\n", *PLAIN_ROWS[5:9]]
+    short = tmp_path / "short.csv"
+    short.write_text("".join(lines[:6] + lines[7:]))
+    assert main(learning_command(command, short, labels_path, tmp_path / "short")) == 0
+    flows_path = tmp_path / "flows.csv"
+    flows_path.write_text("".join(lines))
+    expected = row_parser_error(flows_path)
+    assert expected == "error: line 7: field larger than field limit (50)\n"
+    capsys.readouterr()
+    assert main(learning_command(command, flows_path, labels_path, tmp_path / "out")) == 1
+    assert capsys.readouterr().err == expected
 
 
 def test_help_lists_commands(capsys):

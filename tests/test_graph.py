@@ -3,13 +3,23 @@
 import io
 import random
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from keyterrain.flows import FlowParseError, ParseStats, PortPair, dedupe_flows, parse_flow_rows
+from keyterrain import graph as graph_module
+from keyterrain.flows import (
+    CANONICAL_COLUMNS,
+    FlowParseError,
+    ParseStats,
+    PortPair,
+    dedupe_flows,
+    parse_flow_rows,
+    write_flows,
+)
 from keyterrain.graph import (
     GraphBuildError,
     PortPairCensus,
@@ -17,6 +27,7 @@ from keyterrain.graph import (
     count_port_pairs,
     filter_port_pairs,
     learning_graph,
+    read_learning_graph,
     write_edge_list,
 )
 
@@ -229,6 +240,8 @@ def test_census_and_build_match_triple_oracle(records, retained):
     assert buf.getvalue() == expected["edge_list"]
 
 
+CANONICAL_HEADER = ",".join(CANONICAL_COLUMNS) + "\n"
+
 # Starts at the int64 limits, the widest the parser lets through
 INT64_MAX = (1 << 63) - 1
 BIG_STARTS = (-(1 << 63), INT64_MAX)
@@ -276,6 +289,17 @@ AT_INT64_LIMITS = [
 ]
 
 
+def assert_same_graph(graph, expected):
+    assert graph.vertices == expected.vertices
+    assert graph.pairs == expected.pairs
+    assert all(type(pair) is PortPair for pair in graph.pairs)
+    for name in ("edge_src", "edge_dst", "edge_pair_id", "out_degree"):
+        column = getattr(graph, name)
+        assert column.dtype == np.int64
+        assert column.tolist() == getattr(expected, name).tolist(), name
+    assert graph.max_degree == expected.max_degree
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(rows=flow_files(), data=st.data())
 @example(rows=ON_THRESHOLD, data=None)
@@ -301,14 +325,7 @@ def test_learning_graph_matches_row_path_oracle(rows, data):
         return
     graph, info = learning_graph(iter(rows), split, fraction)
     assert info == expected_info
-    assert graph.vertices == expected.vertices
-    assert graph.pairs == expected.pairs
-    assert all(type(pair) is PortPair for pair in graph.pairs)
-    for name in ("edge_src", "edge_dst", "edge_pair_id", "out_degree"):
-        column = getattr(graph, name)
-        assert column.dtype == np.int64
-        assert column.tolist() == getattr(expected, name).tolist(), name
-    assert graph.max_degree == expected.max_degree
+    assert_same_graph(graph, expected)
 
     # build_static_graph takes the same column path from deduplicated records
     kept = list(dedupe_flows(rows[: info["flows_learning"]]))
@@ -361,3 +378,150 @@ def test_learning_graph_drains_every_row():
     _, info = learning_graph(rows(), 0.5, 0.0)
     assert drawn == ON_THRESHOLD
     assert info["flows_total"] == 5 and info["flows_learning"] == 2
+
+
+# Field texts Python's int() and numpy's int64 reader could read differently,
+# or that the row parser rejects: padding, signs, digit separators, float
+# forms, whitespace int() strips, non-ASCII digits, a bare CR, a NUL, 2^63
+# and out-of-range values.
+ODD_INT_TEXTS = (
+    " 12", "12 ", "+5", "-0", "007", "1_000", "1.6e12", "1.5", "\x0b12", "\x0c12", "\x1c12",
+    "12\x1f", "\xa012", "\u0661\u0662", "1\r2", "12\x00", str(1 << 63), str(-(1 << 63) - 1),
+    "-1", "65536", "", "0x10",
+)
+# IP texts that canonicalise to an IP drawn elsewhere in plain form, and bad ones
+ODD_IP_TEXTS = (
+    " 10.0.0.1", "10.0.0.2\t", "2001:DB8::1", "2001:db8:0::1", "10.0.0.01", "10.0.0.1\x00",
+    "\u00a010.0.0.3", "x", "",
+)
+# Lines that are no flow row, or a row in a form only the csv tokenizer reads
+ODD_LINES = ("", " ", "\t", "\x0c", '1,2,"10.0.0.1",10.0.0.2,80,443', "1,2,10.0.0.1,10.0.0.2,80")
+INT_FIELDS = ("start_ts", "end_ts", "src_port", "dst_port")
+
+
+@st.composite
+def flow_file_texts(draw):
+    """The text of a flow file: plain canonical CSV, as prepare writes it,
+    with now and then a header in another form (reordered, padded, quoted or
+    with an extra column), an odd field, an odd line, CRLF line ends or no
+    final newline."""
+    names = list(CANONICAL_COLUMNS)
+    if draw(st.booleans()):
+        names = draw(st.permutations(names))
+    header_form = draw(st.sampled_from(("plain",) * 4 + ("padded", "quoted", "extra")))
+    header = {
+        "plain": ",".join(names),
+        "padded": " , ".join(names),
+        "quoted": ",".join(f'"{name}"' for name in names),
+        "extra": ",".join(names) + ",bytes",
+    }[header_form]
+    odd = st.integers(0, 19).map(lambda n: n == 0)
+    lines = [header]
+    for src_ip, dst_ip, src_port, dst_port, start, end in draw(flow_files()):
+        fields = {"start_ts": start, "end_ts": end, "src_ip": src_ip, "dst_ip": dst_ip,
+                  "src_port": src_port, "dst_port": dst_port}
+        if draw(odd):
+            fields[draw(st.sampled_from(INT_FIELDS))] = draw(st.sampled_from(ODD_INT_TEXTS))
+        if draw(odd):
+            ip_field = draw(st.sampled_from(("src_ip", "dst_ip")))
+            fields[ip_field] = draw(st.sampled_from(ODD_IP_TEXTS))
+        texts = [str(fields[name]) for name in names]
+        lines.append(",".join(texts + ["7"] * (header_form == "extra")))
+        if draw(odd):
+            lines.append(draw(st.sampled_from(ODD_LINES)))
+    end = draw(st.sampled_from(("\n",) * 4 + ("\r\n",)))
+    return end.join(lines) + (end if draw(st.integers(0, 4)) else "")
+
+
+def assert_file_reads_as_rows(text, split=1.0, fraction=0.0, block=1 << 16):
+    """The file path gives the graph and info of the row path over the
+    parsed rows, or raises the same error."""
+
+    def read():
+        with mock.patch.object(graph_module, "_BLOCK", block):
+            return read_learning_graph(io.StringIO(text, newline=""), split, fraction)
+
+    try:
+        rows = list(parse_flow_rows(io.StringIO(text, newline="")))
+        expected, expected_info = learning_graph_by_rows(rows, split, fraction)
+    except (FlowParseError, GraphBuildError) as exc:
+        with pytest.raises(ValueError) as excinfo:
+            read()
+        assert type(excinfo.value) is type(exc)
+        assert str(excinfo.value) == str(exc)
+        return
+    graph, info = read()
+    assert info == expected_info
+    assert_same_graph(graph, expected)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(
+    text=flow_file_texts(),
+    block=st.sampled_from((1, 7, 64, 1 << 16)),
+    split=st.sampled_from((0.5, 1.0)),
+    fraction=st.sampled_from((0.0, 0.1, 0.3)),
+)
+@example(text=CANONICAL_HEADER + "1,2,10.0.0.1,10.0.0.2,80,443\n\n", block=1 << 16, split=1.0,
+         fraction=0.0)
+@example(text=CANONICAL_HEADER, block=1 << 16, split=1.0, fraction=0.0)
+@example(text="", block=1 << 16, split=1.0, fraction=0.0)
+def test_flow_file_reader_matches_row_parser(text, block, split, fraction):
+    assert_file_reads_as_rows(text, split, fraction, block)
+
+
+THREE_ROWS = [
+    {"start_ts": 1, "end_ts": 2, "src_ip": "10.0.0.1", "dst_ip": "10.0.0.2", "src_port": 80,
+     "dst_port": 443},
+    {"start_ts": 3, "end_ts": 4, "src_ip": "10.0.0.2", "dst_ip": "10.0.0.3", "src_port": 22,
+     "dst_port": 22},
+    {"start_ts": 5, "end_ts": 12, "src_ip": "10.0.0.3", "dst_ip": "10.0.0.1", "src_port": 80,
+     "dst_port": 443},
+]
+
+
+@pytest.mark.parametrize(
+    "field, odd",
+    [(name, text) for name in INT_FIELDS for text in ODD_INT_TEXTS]
+    + [(name, text) for name in ("src_ip", "dst_ip") for text in ODD_IP_TEXTS],
+)
+def test_odd_field_reads_as_the_row_parser_reads_it(field, odd):
+    rows = [dict(row) for row in THREE_ROWS]
+    rows[1][field] = odd
+    text = CANONICAL_HEADER + "".join(
+        ",".join(str(row[name]) for name in CANONICAL_COLUMNS) + "\n" for row in rows
+    )
+    assert_file_reads_as_rows(text)
+
+
+@pytest.mark.parametrize("odd", ODD_LINES)
+@pytest.mark.parametrize("block", [1, 1 << 16])
+def test_odd_line_reads_as_the_row_parser_reads_it(odd, block):
+    lines = [",".join(str(row[name]) for name in CANONICAL_COLUMNS) for row in THREE_ROWS]
+    lines.insert(1, odd)
+    assert_file_reads_as_rows(CANONICAL_HEADER + "\n".join(lines) + "\n", block=block)
+
+
+def test_plain_file_never_reaches_the_row_parser(monkeypatch):
+    # a prepared file of several 64 KB blocks, IPv6 among its IPs
+    rng = random.Random(3)
+    ips = [f"10.0.{i // 250}.{i % 250 + 1}" for i in range(400)] + ["2001:db8::7", "fe80::1"]
+    ports = (22, 53, 80, 443, 3389, 50000)
+    rows = []
+    for start in range(6000):
+        rows.append((rng.choice(ips), rng.choice(ips), rng.choice(ports), rng.choice(ports),
+                     start // 2, start // 2 + rng.randrange(5)))
+    rows += rows[:50]  # copies to dedupe
+    text = io.StringIO(newline="")
+    write_flows(rows, text)
+    assert len(text.getvalue()) > 3 * graph_module._BLOCK
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a plain flow file went through the row parser")
+
+    monkeypatch.setattr(graph_module, "parse_flow_rows", refuse)
+    text.seek(0)
+    graph, info = read_learning_graph(text, 0.8, 0.01)
+    expected, expected_info = learning_graph_by_rows(rows, 0.8, 0.01)
+    assert info == expected_info
+    assert_same_graph(graph, expected)
