@@ -8,13 +8,13 @@ import warnings
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, count, filterfalse, islice
+from itertools import compress, islice
 from operator import itemgetter
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .flows import CANONICAL_COLUMNS, FlowRow, PortPair, _canonical_ip, parse_flow_rows
+from .flows import CANONICAL_COLUMNS, FlowRecord, FlowRow, PortPair, _canonical_ip, parse_flow_rows
 
 
 class GraphBuildError(ValueError):
@@ -98,39 +98,21 @@ def _pair_key(src_port: np.ndarray, dst_port: np.ndarray) -> np.ndarray:
     return (src_port << 16) | dst_port
 
 
-# Rows per batch of the column fill: enough that map runs at C speed over each
-# field of a batch, few enough that one batch of row tuples costs little.
-_BATCH = 4096
-_SRC_IP, _DST_IP, _SRC_PORT, _DST_PORT, _START = map(itemgetter, range(5))
-
-
-def _row_columns(rows: Iterable[FlowRow]) -> tuple[list[str], list[np.ndarray]]:
-    """Drain ``rows`` into five int64 columns: source id, destination id,
-    source port, destination port and start_ts. Returns the IPs in id order
-    and the columns.
-
-    Only an IP not seen before goes through Python code. A start_ts must lie
-    within int64, as the parser and FlowRecord make sure.
-    """
-    ids: dict[str, int] = {}
-    src, dst, src_port, dst_port, start = (array("q") for _ in range(5))
-    rows = iter(rows)
-    while batch := list(islice(rows, _BATCH)):
-        ips = chain(map(_SRC_IP, batch), map(_DST_IP, batch))
-        ids.update(zip(dict.fromkeys(filterfalse(ids.__contains__, ips)), count(len(ids))))
-        src.extend(map(ids.__getitem__, map(_SRC_IP, batch)))
-        dst.extend(map(ids.__getitem__, map(_DST_IP, batch)))
-        src_port.extend(map(_SRC_PORT, batch))
-        dst_port.extend(map(_DST_PORT, batch))
-        start.extend(map(_START, batch))
-    columns = [np.frombuffer(c, dtype=np.int64) for c in (src, dst, src_port, dst_port, start)]
-    return list(ids), columns
-
-
 # Characters of text to read a block at a time, before the cut at the next line
 # end. A block's structured array and IP strings are a few hundred KB, so
 # larger blocks would raise the peak memory of a read.
 _BLOCK = 1 << 16
+# Rows per block of row tuples: enough that numpy converts each block at C
+# speed, few enough that one block of tuples costs little.
+_BATCH = 4096
+
+
+def _dtype(names) -> np.dtype:
+    """One structured row per flow: the IP fields as text, the rest int64."""
+    return np.dtype([(name, object if name.endswith("_ip") else np.int64) for name in names])
+
+
+_ROW_DTYPE = _dtype(FlowRecord._fields)
 
 
 def _plain(text: str) -> bool:
@@ -144,6 +126,46 @@ def _plain(text: str) -> bool:
         and not text.startswith("\n")
         and not any(part in text for part in ('"', "\r", "\0", "\n\n"))
     )
+
+
+def _plain_blocks(fh: IO[str]) -> Iterator[np.ndarray]:
+    """The rows of a plain canonical flow file, read by numpy's C reader in
+    blocks of about ``_BLOCK`` characters, each yielded once it is checked.
+    Raises ValueError when the file is not plain canonical CSV (see
+    ``_plain``), and ValueError, OverflowError or DeprecationWarning on a row
+    numpy cannot read or the row parser would reject; the messages are not
+    the row parser's."""
+    header = fh.readline()
+    names = [name.strip() for name in header.split(",")]
+    if not _plain(header) or sorted(names) != sorted(CANONICAL_COLUMNS):
+        raise ValueError("not the canonical header")
+    dtype = _dtype(names)
+    while block := fh.read(_BLOCK):
+        block += fh.readline()
+        if not _plain(block):
+            raise ValueError("not plain text")
+        # numpy 1.23 reads a float text such as 8e1 into an int field and only
+        # warns that this is deprecated; the row parser rejects it as a port
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(
+                io.StringIO(block), delimiter=",", dtype=dtype, comments=None, quotechar=None,
+                ndmin=1,
+            )
+        # a port in 0..65535 has no bit set above the 16th, and no sign bit
+        if ((rows["src_port"] | rows["dst_port"]) >> 16).any():
+            raise ValueError("port out of range")
+        if (rows["start_ts"] > rows["end_ts"]).any():
+            raise ValueError("start_ts after end_ts")
+        yield rows
+
+
+def _row_blocks(rows: Iterable[FlowRow]) -> Iterator[np.ndarray]:
+    """``rows`` in structured blocks of ``_BATCH`` rows. A value must fit its
+    int64 field, as the parser and FlowRecord make sure."""
+    rows = iter(rows)
+    while batch := list(islice(rows, _BATCH)):
+        yield np.array(batch, dtype=_ROW_DTYPE)
 
 
 class _IpIds(dict):
@@ -161,31 +183,17 @@ class _IpIds(dict):
         return ip_id
 
 
-def _plain_columns(fh: IO[str]) -> tuple[list[str], list[np.ndarray]]:
-    """``_row_columns(parse_flow_rows(fh))`` read by numpy's C reader. Raises
-    ValueError when the file is not plain canonical CSV (see ``_plain``), and
-    ValueError or OverflowError on a row numpy cannot read or the row parser
-    would reject; the messages are not the row parser's."""
-    header = fh.readline()
-    names = [name.strip() for name in header.split(",")]
-    if not _plain(header) or sorted(names) != sorted(CANONICAL_COLUMNS):
-        raise ValueError("not the canonical header")
-    dtype = np.dtype([(name, object if name.endswith("_ip") else np.int64) for name in names])
+def _columns(blocks: Iterable[np.ndarray]) -> tuple[list[str], list[np.ndarray]]:
+    """Drain structured row ``blocks`` into five int64 columns: source id,
+    destination id, source port, destination port and start_ts. Returns the
+    canonical IPs in id order and the columns.
+
+    Only an IP text not seen before goes through Python code; a text that is
+    no IP address raises ValueError.
+    """
     ids = _IpIds()
     src, dst, src_port, dst_port, start = (array("q") for _ in range(5))
-    while block := fh.read(_BLOCK):
-        block += fh.readline()
-        if not _plain(block):
-            raise ValueError("not plain text")
-        rows = np.loadtxt(
-            io.StringIO(block), delimiter=",", dtype=dtype, comments=None, quotechar=None,
-            ndmin=1,
-        )
-        # a port in 0..65535 has no bit set above the 16th, and no sign bit
-        if ((rows["src_port"] | rows["dst_port"]) >> 16).any():
-            raise ValueError("port out of range")
-        if (rows["start_ts"] > rows["end_ts"]).any():
-            raise ValueError("start_ts after end_ts")
+    for rows in blocks:
         src.extend(map(ids.__getitem__, rows["src_ip"].tolist()))
         dst.extend(map(ids.__getitem__, rows["dst_ip"].tolist()))
         for column, name in ((src_port, "src_port"), (dst_port, "dst_port"), (start, "start_ts")):
@@ -195,8 +203,8 @@ def _plain_columns(fh: IO[str]) -> tuple[list[str], list[np.ndarray]]:
 
 
 def flow_columns(fh: IO[str]) -> tuple[list[str], list[np.ndarray]]:
-    """The columns of ``_row_columns(parse_flow_rows(fh))`` for an open flow
-    file, up to the order of the IP ids.
+    """The columns of ``_columns`` over the rows of ``parse_flow_rows(fh)``,
+    up to the order of the IP ids.
 
     Plain canonical CSV, as ``write_flows`` writes it, is read in blocks of
     about 64 KB by numpy's C reader. Any other file, a file that cannot seek
@@ -205,15 +213,11 @@ def flow_columns(fh: IO[str]) -> tuple[list[str], list[np.ndarray]]:
     own, with its message and line number.
     """
     if fh.seekable():
-        # numpy 1.23 reads a float text such as 8e1 into an int field and only
-        # warns that this is deprecated; the row parser rejects it as a port
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            try:
-                return _plain_columns(fh)
-            except (ValueError, OverflowError, DeprecationWarning):
-                fh.seek(0)
-    return _row_columns(parse_flow_rows(fh))
+        try:
+            return _columns(_plain_blocks(fh))
+        except (ValueError, OverflowError, DeprecationWarning):
+            fh.seek(0)
+    return _columns(_row_blocks(parse_flow_rows(fh)))
 
 
 def _graph_from_edges(ips: list[str], src, dst, src_port, dst_port) -> StaticGraph:
@@ -238,20 +242,22 @@ def build_static_graph(records: Iterable[FlowRow], retained: set[PortPair]) -> S
     """Materialize the learning graph: one edge per record with a retained pair.
 
     ``records`` must already be deduplicated. Vertices are exactly the IPs
-    incident to surviving edges; an empty surviving edge set is an error
+    incident to surviving edges, named by their canonical text as the flow
+    file readers name them (``2001:DB8::1`` is ``2001:db8::1``); IP text that
+    is no address raises ValueError. An empty surviving edge set is an error
     because nothing could be learned from it.
     """
-    ips, (src, dst, src_port, dst_port, _) = _row_columns(records)
+    ips, (src, dst, src_port, dst_port, _) = _columns(_row_blocks(records))
     keys = np.array([_pair_key(*pair) for pair in retained], dtype=np.int64)
     edge = np.isin(_pair_key(src_port, dst_port), keys)
     return _graph_from_edges(ips, src[edge], dst[edge], src_port[edge], dst_port[edge])
 
 
-def _learning_edges(columns_of, source, split: float, fraction: float):
-    """The edge columns of the learning graph over ``columns_of(source)``
-    and its ``info`` without the graph counts; the row columns are freed on
+def _learning_edges(fh: IO[str], split: float, fraction: float):
+    """The edge columns of the learning graph over ``flow_columns(fh)`` and
+    its ``info`` without the graph counts; the row columns are freed on
     return."""
-    ips, columns = columns_of(source)
+    ips, columns = flow_columns(fh)
     total = len(columns[0])
     prefix = int(total * split)
     columns = [column[:prefix] for column in columns]
@@ -283,29 +289,18 @@ def _learning_edges(columns_of, source, split: float, fraction: float):
     return ips, (src[edge], dst[edge], src_port[edge], dst_port[edge]), info
 
 
-def learning_graph(
-    rows: Iterable[FlowRow], split: float, fraction: float
-) -> tuple[StaticGraph, dict]:
-    """The learning graph of the first ``int(total * split)`` of ``rows``,
-    deduplicated, with the port pairs in strictly more than ``fraction`` of
-    the deduplicated flows; and an ``info`` dict of its row and graph counts.
-
-    Every row is drained, so a malformed row anywhere fails the call, but
-    only five int64 values per row and one id per distinct IP are held. The
-    result equals ``build_static_graph`` over ``dedupe_flows`` of the prefix
-    with the pairs ``filter_port_pairs`` retains from its census.
-    """
-    return _learning_graph(_row_columns, rows, split, fraction)
-
-
 def read_learning_graph(fh: IO[str], split: float, fraction: float) -> tuple[StaticGraph, dict]:
-    """``learning_graph(parse_flow_rows(fh), split, fraction)``, with the flow
-    file read by ``flow_columns``."""
-    return _learning_graph(flow_columns, fh, split, fraction)
+    """The learning graph of the first ``int(total * split)`` rows of the
+    flow file ``fh``, deduplicated, with the port pairs in strictly more than
+    ``fraction`` of the deduplicated flows; and an ``info`` dict of its row
+    and graph counts. The one entry from flows to the learning graph.
 
-
-def _learning_graph(columns_of, source, split: float, fraction: float):
-    ips, edges, info = _learning_edges(columns_of, source, split, fraction)
+    The whole file is read by ``flow_columns``, so a malformed row anywhere
+    fails the call. The result equals ``build_static_graph`` over
+    ``dedupe_flows`` of the prefix with the pairs ``filter_port_pairs``
+    retains from its census.
+    """
+    ips, edges, info = _learning_edges(fh, split, fraction)
     graph = _graph_from_edges(ips, *edges)
     info["vertices"] = graph.n
     info["edges"] = graph.edge_count

@@ -424,7 +424,7 @@ def learning_graph_by_rows(rows, split, fraction):
     """The learning graph the row way: every row held as a tuple, the prefix
     cut from the list, ``dedupe_flows``, the census, ``filter_port_pairs``,
     then one id per IP in first-seen order and one edge per retained row.
-    Returns (graph, info) as ``graph.learning_graph`` does."""
+    Returns (graph, info) as ``graph.read_learning_graph`` does."""
     records = list(rows)
     total = len(records)
     prefix = int(total * split)

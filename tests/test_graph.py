@@ -26,7 +26,6 @@ from keyterrain.graph import (
     build_static_graph,
     count_port_pairs,
     filter_port_pairs,
-    learning_graph,
     read_learning_graph,
     write_edge_list,
 )
@@ -300,6 +299,18 @@ def assert_same_graph(graph, expected):
     assert graph.max_degree == expected.max_degree
 
 
+# a quoted header keeps a file off numpy's reader, so its rows come through
+# the row parser and the row blocks
+QUOTED_HEADER = ",".join(f'"{name}"' for name in CANONICAL_COLUMNS) + "\n"
+
+
+def flow_file(rows, header=CANONICAL_HEADER):
+    """``rows`` as the text of a flow file under ``header``, open for reading."""
+    text = io.StringIO(newline="")
+    write_flows(rows, text)
+    return io.StringIO(header + text.getvalue().partition("\n")[2], newline="")
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(rows=flow_files(), data=st.data())
 @example(rows=ON_THRESHOLD, data=None)
@@ -317,15 +328,26 @@ def test_learning_graph_matches_row_path_oracle(rows, data):
         on_count = [c / len(kept) for c in counts]
         fraction = data.draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from(on_count or [0.0])))
     try:
-        expected, expected_info = learning_graph_by_rows(rows, split, fraction)
+        expected = learning_graph_by_rows(rows, split, fraction)
     except GraphBuildError as exc:
-        with pytest.raises(GraphBuildError) as excinfo:
-            learning_graph(iter(rows), split, fraction)
-        assert str(excinfo.value) == str(exc)
+        expected = str(exc)
+    # both block sources: numpy's reader under the canonical header, the row
+    # blocks under the quoted one
+    for header in (CANONICAL_HEADER, QUOTED_HEADER):
+        with mock.patch.object(graph_module, "parse_flow_rows", wraps=parse_flow_rows) as parser:
+            try:
+                read = read_learning_graph(flow_file(rows, header), split, fraction)
+            except GraphBuildError as exc:
+                read = str(exc)
+        assert parser.called == (header is QUOTED_HEADER)
+        if isinstance(expected, str):
+            assert read == expected
+            continue
+        graph, info = read
+        assert info == expected[1]
+        assert_same_graph(graph, expected[0])
+    if isinstance(expected, str):
         return
-    graph, info = learning_graph(iter(rows), split, fraction)
-    assert info == expected_info
-    assert_same_graph(graph, expected)
 
     # build_static_graph takes the same column path from deduplicated records
     kept = list(dedupe_flows(rows[: info["flows_learning"]]))
@@ -334,6 +356,15 @@ def test_learning_graph_matches_row_path_oracle(rows, data):
     assert built.edge_src.tolist() == graph.edge_src.tolist()
     assert built.edge_dst.tolist() == graph.edge_dst.tolist()
     assert built.edge_pair_id.tolist() == graph.edge_pair_id.tolist()
+
+
+def test_build_names_vertices_by_canonical_ip():
+    records = [flow("2001:DB8::1", "10.0.0.1", 5, 6), flow("10.0.0.1", "2001:db8::1", 5, 6, 1)]
+    graph = build_static_graph(records, {PortPair(5, 6)})
+    assert graph.vertices == ["2001:db8::1", "10.0.0.1"]
+    assert edge_triples(graph) == [(0, 1, PortPair(5, 6)), (1, 0, PortPair(5, 6))]
+    with pytest.raises(ValueError, match="^bad IP address 'x'$"):
+        build_static_graph([flow("x", "10.0.0.1", 5, 6)], {PortPair(5, 6)})
 
 
 # a key with a start of 0 and starts beyond int64, as flow file text
@@ -346,16 +377,17 @@ PAST_INT64 = "start_ts,end_ts,src_ip,dst_ip,src_port,dst_port\n" + "".join(
 def test_starts_past_int64_never_reach_the_graph():
     message = "line 3: timestamp '9223372036854775808' out of int64 range"
     with pytest.raises(FlowParseError, match=message):
-        learning_graph(parse_flow_rows(io.StringIO(PAST_INT64)), 1.0, 0.25)
+        read_learning_graph(io.StringIO(PAST_INT64), 1.0, 0.25)
+    # skipped, as prepare --on-error skip skips them, the rows never reach the file
     stats = ParseStats()
     rows = parse_flow_rows(io.StringIO(PAST_INT64), on_error="skip", stats=stats)
-    graph, info = learning_graph(rows, 1.0, 0.25)
+    graph, info = read_learning_graph(flow_file(rows), 1.0, 0.25)
     assert info["flows_total"] == 1 and graph.edge_count == 1
     assert [line for line, _ in stats.errors] == [3, 4, 5]
 
 
 def test_on_threshold_example_drops_the_pair_on_the_threshold():
-    graph, info = learning_graph(iter(ON_THRESHOLD), 1.0, 0.25)
+    graph, info = read_learning_graph(flow_file(ON_THRESHOLD), 1.0, 0.25)
     assert info["flows_after_dedupe"] == 4
     assert graph.pairs == [PortPair(443, 80)]
     assert graph.vertices == ["10.0.0.2", "10.0.0.1"]
@@ -364,20 +396,7 @@ def test_on_threshold_example_drops_the_pair_on_the_threshold():
 @pytest.mark.parametrize("split, fraction", [(0.1, 0.0), (1.0, 1.0)])
 def test_empty_prefix_or_no_retained_pair_is_an_error(split, fraction):
     with pytest.raises(GraphBuildError, match="learning graph would be empty"):
-        learning_graph(iter(ON_THRESHOLD), split, fraction)
-
-
-def test_learning_graph_drains_every_row():
-    drawn = []
-
-    def rows():
-        for row in ON_THRESHOLD:
-            drawn.append(row)
-            yield row
-
-    _, info = learning_graph(rows(), 0.5, 0.0)
-    assert drawn == ON_THRESHOLD
-    assert info["flows_total"] == 5 and info["flows_learning"] == 2
+        read_learning_graph(flow_file(ON_THRESHOLD), split, fraction)
 
 
 # Field texts Python's int() and numpy's int64 reader could read differently,

@@ -1,5 +1,6 @@
 """The package namespace loads lazily: prepare runs without numpy, every name stays."""
 
+import ast
 import importlib
 import os
 import re
@@ -12,7 +13,8 @@ import pytest
 import keyterrain
 from keyterrain.cli import main
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 # every name the package exported when it imported all of its modules eagerly,
 # under the module it was imported from then
@@ -128,7 +130,41 @@ def test_learn_help_lists_heuristics(capsys):
 def test_every_name_the_traced_benchmark_calls_resolves():
     # the traced pass of bench/run.py reaches the package only as ``kt.<name>``,
     # and no test runs it, so a deleted name would surface only there
-    tracing = (Path(__file__).resolve().parents[1] / "bench" / "tracing.py").read_text()
+    tracing = (ROOT / "bench" / "tracing.py").read_text()
     names = sorted(set(re.findall(r"\bkt\.([A-Za-z_]\w*)", tracing)))
     assert names
     assert [name for name in names if not hasattr(keyterrain, name)] == []
+
+
+def names_used(path: Path) -> set[str]:
+    """Every name a module reads: a bare name, an attribute or an imported name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def test_no_public_name_serves_only_the_unit_tests():
+    # production code that only unit tests call is code to delete: each public
+    # function or class must be named by the package's code (its own module
+    # included; a definition names nothing), by the benchmark or by the
+    # acceptance suite, never only by the lazy namespace of __init__.py
+    package = sorted((SRC / "keyterrain").glob("*.py"))
+    used = names_used(ROOT / "tests" / "test_acceptance.py")
+    for path in package + sorted((ROOT / "bench").glob("*.py")):
+        if path.name not in ("__init__.py", "test_bench.py"):
+            used |= names_used(path)
+    unused = [
+        f"{path.stem}.{node.name}"
+        for path in package
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in used
+    ]
+    assert unused == []
