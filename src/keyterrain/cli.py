@@ -164,6 +164,7 @@ def cmd_learn(args) -> int:
 
 
 def cmd_stream(args) -> int:
+    from .graph import flow_rows
     from .labels import AddressSet
     from .metrics import write_run_summary
     from .pagerank import DampingTable, load_damping_table
@@ -181,7 +182,7 @@ def cmd_stream(args) -> int:
 
     started = time.perf_counter()
     with open(args.flows, encoding="utf-8", newline="") as fh:
-        samples = run_stream(parse_flow_rows(fh), table, config, labels)
+        samples = run_stream(flow_rows(fh), table, config, labels)
     elapsed = time.perf_counter() - started
 
     out_dir = Path(args.out)

@@ -220,6 +220,52 @@ def flow_columns(fh: IO[str]) -> tuple[list[str], list[np.ndarray]]:
     return _columns(_row_blocks(parse_flow_rows(fh)))
 
 
+class _CanonicalIps(dict):
+    """The canonical text of each raw IP text, found once, on its first lookup."""
+
+    def __missing__(self, text: str) -> str:
+        return _canonical_ip(text, self)
+
+
+_INT_FIELDS = ("src_port", "dst_port", "start_ts", "end_ts")
+
+
+def flow_rows(fh: IO[str]) -> Iterator[FlowRow]:
+    """Yield exactly the rows of ``parse_flow_rows(fh)``, and raise its error
+    after the same rows.
+
+    Plain canonical CSV, as ``write_flows`` writes it, is read in blocks of
+    about 64 KB by numpy's C reader, and each distinct raw IP text is
+    canonicalised once; memory is one block plus one entry per distinct raw
+    IP text. A block's IP texts are all canonicalised before the first of
+    its rows is yielded, since ``_plain_blocks`` does not check them: a bad
+    one must stop the block reader before any row of its block goes out.
+
+    A file that cannot seek back, and the first block that is not plain or
+    holds a row numpy cannot read or the parser would reject, go to the row
+    parser, which reads the file again from its start and skips the rows
+    already yielded. So every error is the parser's own, with its message
+    and line number, at the cost of parsing the yielded prefix once more.
+    """
+    done = 0
+    if fh.seekable():
+        ips = _CanonicalIps()
+        blocks = _plain_blocks(fh)
+        while True:
+            try:
+                rows = next(blocks)
+                src_ips = list(map(ips.__getitem__, rows["src_ip"].tolist()))
+                dst_ips = list(map(ips.__getitem__, rows["dst_ip"].tolist()))
+            except StopIteration:
+                return
+            except (ValueError, OverflowError, DeprecationWarning):
+                fh.seek(0)
+                break
+            done += len(rows)
+            yield from zip(src_ips, dst_ips, *(rows[name].tolist() for name in _INT_FIELDS))
+    yield from islice(parse_flow_rows(fh), done, None)
+
+
 def _graph_from_edges(ips: list[str], src, dst, src_port, dst_port) -> StaticGraph:
     """The graph over the edges of id columns, its vertices the IPs incident to
     them in order of first appearance, a row's source before its destination."""

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import os
+import random
 import threading
 import warnings
 
@@ -20,6 +21,8 @@ from keyterrain.flows import (
     write_flows,
 )
 from keyterrain.labels import AddressSet
+from keyterrain.pagerank import DampingTable
+from keyterrain.streaming import StreamConfig, run_stream, write_samples_csv, write_topk_csv
 
 from instances import STAR_SERVER, flow, star_instance, tangled_instance
 
@@ -877,9 +880,11 @@ PLAIN_ROWS = [
 ]
 
 
-def learning_command(command, flows_path, labels_path, out):
-    args = [command, "--flows", str(flows_path), "--labels", str(labels_path),
-            "--pair-fraction", "0.01", "--out", str(out)]
+def flow_command(command, flows_path, labels_path, out):
+    args = [command, "--flows", str(flows_path), "--labels", str(labels_path), "--out", str(out)]
+    if command == "stream":
+        return args + ["--default-factors", "--sample-interval", "1000"]
+    args += ["--pair-fraction", "0.01"]
     return args + (["--seed", "7", "--max-iterations", "3"] if command == "learn" else [])
 
 
@@ -899,7 +904,7 @@ def labels_path(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("command", ["learn", "baseline"])
+@pytest.mark.parametrize("command", ["learn", "baseline", "stream"])
 @pytest.mark.parametrize(
     "bad_row, message",
     [
@@ -917,12 +922,12 @@ def test_row_error_past_the_first_block_is_worded_by_the_row_parser(
     expected = row_parser_error(flows_path)
     assert expected == f"error: line 3002: {message}\n"
     out = tmp_path / "out"
-    assert main(learning_command(command, flows_path, labels_path, out)) == 1
+    assert main(flow_command(command, flows_path, labels_path, out)) == 1
     assert capsys.readouterr().err == expected
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["learn", "baseline"])
+@pytest.mark.parametrize("command", ["learn", "baseline", "stream"])
 def test_undecodable_byte_is_reported_as_line_iteration_reports_it(
     tmp_path, capsys, labels_path, command
 ):
@@ -939,12 +944,13 @@ def test_undecodable_byte_is_reported_as_line_iteration_reports_it(
                 pass
     assert f"error: {blockwise.value}\n" != expected
     out = tmp_path / "out"
-    assert main(learning_command(command, flows_path, labels_path, out)) == 1
+    assert main(flow_command(command, flows_path, labels_path, out)) == 1
     assert capsys.readouterr().err == expected
+    assert not out.exists()
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-@pytest.mark.parametrize("command", ["learn", "baseline"])
+@pytest.mark.parametrize("command", ["learn", "baseline", "stream"])
 def test_unseekable_flow_file_is_read_by_the_row_parser(
     tangled_files, tmp_path, monkeypatch, command
 ):
@@ -962,13 +968,20 @@ def test_unseekable_flow_file_is_read_by_the_row_parser(
     writer = threading.Thread(target=fifo.write_bytes, args=(flows_path.read_bytes(),))
     writer.start()
     try:
-        assert main(learning_command(command, fifo, labels_path, tmp_path / "piped")) == 0
+        assert main(flow_command(command, fifo, labels_path, tmp_path / "piped")) == 0
     finally:
         writer.join(timeout=30)
     assert read_by_rows == [str(fifo)]
-    assert main(learning_command(command, flows_path, labels_path, tmp_path / "file")) == 0
+    assert main(flow_command(command, flows_path, labels_path, tmp_path / "file")) == 0
     assert read_by_rows == [str(fifo)]
-    names = ["graph_edges.csv", "factors.csv"] if command == "learn" else []
+    names = {
+        "learn": ["graph_edges.csv", "factors.csv"],
+        "baseline": [],
+        "stream": sorted(path.name for path in (tmp_path / "file").glob("*.csv")),
+    }[command]
+    if command == "stream":
+        assert {"samples.csv", "topk_0001.csv"} <= set(names)
+        assert names == sorted(path.name for path in (tmp_path / "piped").glob("*.csv"))
     for name in names:
         piped, direct = (tmp_path / run / name for run in ("piped", "file"))
         assert piped.read_bytes() == direct.read_bytes(), name
@@ -979,16 +992,22 @@ def test_unseekable_flow_file_is_read_by_the_row_parser(
         assert piped == direct
 
 
-@pytest.mark.parametrize("command", ["learn", "baseline"])
+@pytest.mark.parametrize("command", ["learn", "baseline", "stream"])
 def test_header_only_flow_file_warns_of_nothing(tmp_path, capsys, labels_path, command):
     flows_path = tmp_path / "flows.csv"
     flows_path.write_text(HEADER)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(learning_command(command, flows_path, labels_path, tmp_path / "out")) == 1
-    assert capsys.readouterr().err == (
-        "error: no flows carry a retained port pair; the learning graph would be empty\n"
-    )
+        code = main(flow_command(command, flows_path, labels_path, tmp_path / "out"))
+    err = capsys.readouterr().err
+    if command == "stream":
+        assert (code, err) == (0, "")
+        samples = (tmp_path / "out" / "samples.csv").read_text()
+        assert samples == "flows_processed,vertices_seen,f1,topk_tp\n0,0,0.0,0\n"
+    else:
+        assert (code, err) == (
+            1, "error: no flows carry a retained port pair; the learning graph would be empty\n"
+        )
 
 
 @pytest.fixture
@@ -998,7 +1017,7 @@ def field_size_limit_50():
     csv.field_size_limit(default)
 
 
-@pytest.mark.parametrize("command", ["learn", "baseline"])
+@pytest.mark.parametrize("command", ["learn", "baseline", "stream"])
 def test_field_size_limit_is_the_row_parsers(
     tmp_path, capsys, labels_path, field_size_limit_50, command
 ):
@@ -1007,14 +1026,51 @@ def test_field_size_limit_is_the_row_parsers(
     lines = [HEADER, *PLAIN_ROWS[:5], "0" * 50 + "1,2,10.0.0.1,10.0.0.2,1,2\n", *PLAIN_ROWS[5:9]]
     short = tmp_path / "short.csv"
     short.write_text("".join(lines[:6] + lines[7:]))
-    assert main(learning_command(command, short, labels_path, tmp_path / "short")) == 0
+    assert main(flow_command(command, short, labels_path, tmp_path / "short")) == 0
     flows_path = tmp_path / "flows.csv"
     flows_path.write_text("".join(lines))
     expected = row_parser_error(flows_path)
     assert expected == "error: line 7: field larger than field limit (50)\n"
     capsys.readouterr()
-    assert main(learning_command(command, flows_path, labels_path, tmp_path / "out")) == 1
+    out = tmp_path / "out"
+    assert main(flow_command(command, flows_path, labels_path, out)) == 1
     assert capsys.readouterr().err == expected
+    assert not out.exists()
+
+
+def test_plain_file_never_reaches_the_row_parser_in_stream(tmp_path, monkeypatch, labels_path):
+    # a prepared file of several 64 KB blocks, IPv6 among its IPs
+    rng = random.Random(3)
+    ips = [f"10.0.{i // 250}.{i % 250 + 1}" for i in range(400)] + ["2001:db8::7", "fe80::1"]
+    ports = (22, 53, 80, 443, 3389, 50000)
+    rows = [(rng.choice(ips), rng.choice(ips), rng.choice(ports), rng.choice(ports),
+             start // 2, start // 2 + rng.randrange(5)) for start in range(8000)]
+    flows_path = tmp_path / "flows.csv"
+    with open(flows_path, "w", newline="") as fh:
+        write_flows(rows, fh)
+    assert flows_path.stat().st_size > 4 * graph_module._BLOCK
+    expected = tmp_path / "expected"
+    expected.mkdir()
+    with open(flows_path, newline="") as fh:
+        samples = run_stream(parse_flow_rows(fh), DampingTable(),
+                             StreamConfig(sample_interval=1000), AddressSet(["10.0.0.1"]))
+    with open(expected / "samples.csv", "w", newline="") as fh:
+        write_samples_csv(samples, fh)
+    for i, sample in enumerate(samples, start=1):
+        with open(expected / f"topk_{i:04d}.csv", "w", newline="") as fh:
+            write_topk_csv(sample, fh)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a plain flow file went through the row parser")
+
+    monkeypatch.setattr(graph_module, "parse_flow_rows", refuse)
+    out = tmp_path / "out"
+    assert main(flow_command("stream", flows_path, labels_path, out)) == 0
+    names = sorted(path.name for path in expected.iterdir())
+    assert len(names) == 10
+    assert sorted(path.name for path in out.glob("*.csv")) == names
+    for name in names:
+        assert (out / name).read_bytes() == (expected / name).read_bytes(), name
 
 
 def test_help_lists_commands(capsys):

@@ -26,6 +26,7 @@ from keyterrain.graph import (
     build_static_graph,
     count_port_pairs,
     filter_port_pairs,
+    flow_rows,
     read_learning_graph,
     write_edge_list,
 )
@@ -489,6 +490,53 @@ def test_flow_file_reader_matches_row_parser(text, block, split, fraction):
     assert_file_reads_as_rows(text, split, fraction, block)
 
 
+def assert_stream_reads_as_rows(text, block=1 << 16):
+    """``flow_rows`` yields the rows of the row parser, as the same str and
+    int values, then raises the same error, or none."""
+
+    def read(reader):
+        rows = []
+        try:
+            for row in reader(io.StringIO(text, newline="")):
+                rows.append(row)
+        except ValueError as exc:
+            return rows, type(exc), str(exc)
+        return rows, None, None
+
+    expected = read(parse_flow_rows)
+    with mock.patch.object(graph_module, "_BLOCK", block):
+        got = read(flow_rows)
+    assert got == expected
+    assert [list(map(type, row)) for row in got[0]] == [
+        list(map(type, row)) for row in expected[0]
+    ]
+
+
+# about 220 KB of plain rows: a line after them lies past three 64 KB blocks
+PLAIN_BLOCKS = CANONICAL_HEADER + "".join(
+    f"{i},{i + 1},10.0.{i % 7}.1,10.0.{i % 5}.2,{1000 + i % 3},443\n" for i in range(6000)
+)
+
+
+def after_plain_blocks(line):
+    return PLAIN_BLOCKS + line + "\n" + "1,2,10.0.0.1,2001:db8::1,80,443\n"
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(text=flow_file_texts(), block=st.sampled_from((1, 7, 64, 1 << 16)))
+@example(text=after_plain_blocks("9,9,10.0.0.3,nope,1,2"), block=1 << 16)
+@example(text=after_plain_blocks("9,9,010.0.0.3 ,10.0.0.4,1,2"), block=1 << 16)
+@example(text=after_plain_blocks('9,9,"10.0.0.3",10.0.0.4,1,2'), block=1 << 16)
+@example(text=after_plain_blocks("9,9,10.0.0.3,10.0.0.4,1\r,2"), block=1 << 16)
+@example(text=after_plain_blocks("9,9,10.0.0.3,10.0.0.4,1,65536"), block=1 << 16)
+@example(text=after_plain_blocks("9,8,10.0.0.3,10.0.0.4,1,2"), block=1 << 16)
+@example(text=after_plain_blocks(f"{1 << 63},{1 << 63},10.0.0.3,10.0.0.4,1,2"), block=1 << 16)
+@example(text=CANONICAL_HEADER, block=1 << 16)
+@example(text="", block=1 << 16)
+def test_stream_reader_matches_row_parser(text, block):
+    assert_stream_reads_as_rows(text, block)
+
+
 THREE_ROWS = [
     {"start_ts": 1, "end_ts": 2, "src_ip": "10.0.0.1", "dst_ip": "10.0.0.2", "src_port": 80,
      "dst_port": 443},
@@ -511,6 +559,7 @@ def test_odd_field_reads_as_the_row_parser_reads_it(field, odd):
         ",".join(str(row[name]) for name in CANONICAL_COLUMNS) + "\n" for row in rows
     )
     assert_file_reads_as_rows(text)
+    assert_stream_reads_as_rows(text, block=1)
 
 
 @pytest.mark.parametrize("odd", ODD_LINES)
@@ -518,7 +567,9 @@ def test_odd_field_reads_as_the_row_parser_reads_it(field, odd):
 def test_odd_line_reads_as_the_row_parser_reads_it(odd, block):
     lines = [",".join(str(row[name]) for name in CANONICAL_COLUMNS) for row in THREE_ROWS]
     lines.insert(1, odd)
-    assert_file_reads_as_rows(CANONICAL_HEADER + "\n".join(lines) + "\n", block=block)
+    text = CANONICAL_HEADER + "\n".join(lines) + "\n"
+    assert_file_reads_as_rows(text, block=block)
+    assert_stream_reads_as_rows(text, block=block)
 
 
 def test_plain_file_never_reaches_the_row_parser(monkeypatch):
