@@ -108,21 +108,32 @@ def packed_ipv4(text) -> bytes | None:
     return packed if inet_ntop(AF_INET, packed) == text else None
 
 
-def _canonical_ip(text: str, cache: dict) -> str:
-    """Canonical form of an IP field, cached under the field's raw text.
+def _canonical_ip(text: str) -> str:
+    """Canonical form of an IP field's text.
 
     Canonical IPv4 text is its own canonical form; ``ipaddress`` alone
     canonicalizes (and words the error for) everything else.
     """
     if packed_ipv4(text) is not None:
-        cache[text] = text
         return text
     try:
-        canonical = str(ipaddress.ip_address(text.strip()))
+        return str(ipaddress.ip_address(text.strip()))
     except ValueError:
         raise ValueError(f"bad IP address {text.strip()!r}") from None
-    cache[text] = canonical
-    return canonical
+
+
+class _IpTable(dict):
+    """``keep`` of the canonical text of each raw IP text, worked out once per
+    text, on its first lookup: every flow reader names a host this way. A
+    text that is no IP address raises ValueError and is not stored."""
+
+    def __init__(self, keep=str):
+        super().__init__()
+        self.keep = keep
+
+    def __missing__(self, text: str):
+        value = self[text] = self.keep(_canonical_ip(text))
+        return value
 
 
 def _parse_port(text: str) -> int:
@@ -175,8 +186,7 @@ def parse_flow_rows(
         raise ValueError(f"on_error must be 'abort' or 'skip', got {on_error!r}")
     if stats is None:
         stats = ParseStats()
-    canonical_ips: dict[str, str] = {}
-    cached_ip = canonical_ips.get
+    ips = _IpTable()
     reader = csv.reader(lines)
     try:
         header = next(reader, None)
@@ -206,8 +216,8 @@ def parse_flow_rows(
             try:
                 if len(row) != arity:
                     raise ValueError(f"expected {arity} fields, got {len(row)}")
-                src_ip = cached_ip(row[i_src]) or _canonical_ip(row[i_src], canonical_ips)
-                dst_ip = cached_ip(row[i_dst]) or _canonical_ip(row[i_dst], canonical_ips)
+                src_ip = ips[row[i_src]]
+                dst_ip = ips[row[i_dst]]
                 try:
                     src_port = int(row[i_sport])
                     dst_port = int(row[i_dport])

@@ -3,18 +3,17 @@
 from __future__ import annotations
 
 import csv
-import io
 import warnings
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import compress, count, islice
 from operator import itemgetter
 from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .flows import CANONICAL_COLUMNS, FlowRecord, FlowRow, PortPair, _canonical_ip, parse_flow_rows
+from .flows import CANONICAL_COLUMNS, FlowRecord, FlowRow, PortPair, _IpTable, parse_flow_rows
 
 
 class GraphBuildError(ValueError):
@@ -128,13 +127,26 @@ def _plain(text: str) -> bool:
     )
 
 
-def _plain_blocks(fh: IO[str]) -> Iterator[np.ndarray]:
+# A checked block: its source and destination IPs as an IP table gives them,
+# and its structured rows
+_Block = tuple[list, list, np.ndarray]
+
+
+def _checked(rows: np.ndarray, ips: dict) -> _Block:
+    """A structured block with its IP texts looked up in ``ips``, which
+    raises ValueError on a text that is no IP address."""
+    src, dst = (list(map(ips.__getitem__, rows[name].tolist())) for name in ("src_ip", "dst_ip"))
+    return src, dst, rows
+
+
+def _plain_blocks(fh: IO[str], ips: dict) -> Iterator[_Block]:
     """The rows of a plain canonical flow file, read by numpy's C reader in
-    blocks of about ``_BLOCK`` characters, each yielded once it is checked.
-    Raises ValueError when the file is not plain canonical CSV (see
-    ``_plain``), and ValueError, OverflowError or DeprecationWarning on a row
-    numpy cannot read or the row parser would reject; the messages are not
-    the row parser's."""
+    blocks of about ``_BLOCK`` characters, each yielded as ``_checked`` gives
+    it once every field is checked. Raises ValueError when the file is not
+    plain canonical CSV (see ``_plain``) or an IP text is no address, and
+    ValueError, OverflowError or DeprecationWarning on a row numpy cannot
+    read or the row parser would reject; the messages are not the row
+    parser's."""
     header = fh.readline()
     names = [name.strip() for name in header.split(",")]
     if not _plain(header) or sorted(names) != sorted(CANONICAL_COLUMNS):
@@ -145,11 +157,13 @@ def _plain_blocks(fh: IO[str]) -> Iterator[np.ndarray]:
         if not _plain(block):
             raise ValueError("not plain text")
         # numpy 1.23 reads a float text such as 8e1 into an int field and only
-        # warns that this is deprecated; the row parser rejects it as a port
+        # warns that this is deprecated; the row parser rejects it as a port.
+        # Lines are cut at "\n" alone, as csv cuts them: str.splitlines()
+        # would also cut at "\x0b", "\x0c" and "\x1c" to "\x1e".
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             rows = np.loadtxt(
-                io.StringIO(block), delimiter=",", dtype=dtype, comments=None, quotechar=None,
+                block.split("\n"), delimiter=",", dtype=dtype, comments=None, quotechar=None,
                 ndmin=1,
             )
         # a port in 0..65535 has no bit set above the 16th, and no sign bit
@@ -157,74 +171,51 @@ def _plain_blocks(fh: IO[str]) -> Iterator[np.ndarray]:
             raise ValueError("port out of range")
         if (rows["start_ts"] > rows["end_ts"]).any():
             raise ValueError("start_ts after end_ts")
-        yield rows
+        yield _checked(rows, ips)
 
 
-def _row_blocks(rows: Iterable[FlowRow]) -> Iterator[np.ndarray]:
-    """``rows`` in structured blocks of ``_BATCH`` rows. A value must fit its
-    int64 field, as the parser and FlowRecord make sure."""
+def _row_blocks(rows: Iterable[FlowRow], ips: dict) -> Iterator[_Block]:
+    """``rows`` in structured blocks of ``_BATCH`` rows, as ``_checked`` gives
+    them. A value must fit its int64 field, as the parser and FlowRecord make
+    sure."""
     rows = iter(rows)
     while batch := list(islice(rows, _BATCH)):
-        yield np.array(batch, dtype=_ROW_DTYPE)
+        yield _checked(np.array(batch, dtype=_ROW_DTYPE), ips)
 
 
-class _IpIds(dict):
-    """The id of each raw IP text, one id per canonical IP (``by_canonical``)
-    in order of first sight. A text is canonicalised once, on its first
-    lookup, so ``_canonical_ip`` gets no cache to fill."""
-
-    def __init__(self):
-        super().__init__()
-        self.by_canonical: dict[str, int] = {}
-
-    def __missing__(self, text: str) -> int:
-        ids = self.by_canonical
-        ip_id = self[text] = ids.setdefault(_canonical_ip(text, {}), len(ids))
-        return ip_id
-
-
-def _columns(blocks: Iterable[np.ndarray]) -> tuple[list[str], list[np.ndarray]]:
-    """Drain structured row ``blocks`` into five int64 columns: source id,
-    destination id, source port, destination port and start_ts. Returns the
-    canonical IPs in id order and the columns.
-
-    Only an IP text not seen before goes through Python code; a text that is
-    no IP address raises ValueError.
-    """
-    ids = _IpIds()
+def _columns(blocks: Iterable[_Block]) -> list[np.ndarray]:
+    """Drain blocks whose IPs are looked up as ids into five int64 columns:
+    source id, destination id, source port, destination port and start_ts."""
     src, dst, src_port, dst_port, start = (array("q") for _ in range(5))
-    for rows in blocks:
-        src.extend(map(ids.__getitem__, rows["src_ip"].tolist()))
-        dst.extend(map(ids.__getitem__, rows["dst_ip"].tolist()))
+    for src_ids, dst_ids, rows in blocks:
+        src.extend(src_ids)
+        dst.extend(dst_ids)
         for column, name in ((src_port, "src_port"), (dst_port, "dst_port"), (start, "start_ts")):
             column.frombytes(rows[name].tobytes())
-    columns = [np.frombuffer(c, dtype=np.int64) for c in (src, dst, src_port, dst_port, start)]
-    return list(ids.by_canonical), columns
+    return [np.frombuffer(c, dtype=np.int64) for c in (src, dst, src_port, dst_port, start)]
 
 
 def flow_columns(fh: IO[str]) -> tuple[list[str], list[np.ndarray]]:
-    """The columns of ``_columns`` over the rows of ``parse_flow_rows(fh)``,
-    up to the order of the IP ids.
+    """The canonical IPs in id order and the ``_columns`` of the rows of
+    ``parse_flow_rows(fh)``, up to the order of the IP ids.
 
     Plain canonical CSV, as ``write_flows`` writes it, is read in blocks of
     about 64 KB by numpy's C reader. Any other file, a file that cannot seek
     back, and a file with a row numpy cannot read or the parser would reject
     go through the row parser from the start, so every error is the parser's
-    own, with its message and line number.
+    own, with its message and line number. The parser's IP text is already
+    canonical, so it is given its id as it is.
     """
     if fh.seekable():
+        ids = defaultdict(count().__next__)
         try:
-            return _columns(_plain_blocks(fh))
+            columns = _columns(_plain_blocks(fh, _IpTable(ids.__getitem__)))
+            return list(ids), columns
         except (ValueError, OverflowError, DeprecationWarning):
             fh.seek(0)
-    return _columns(_row_blocks(parse_flow_rows(fh)))
-
-
-class _CanonicalIps(dict):
-    """The canonical text of each raw IP text, found once, on its first lookup."""
-
-    def __missing__(self, text: str) -> str:
-        return _canonical_ip(text, self)
+    ids = defaultdict(count().__next__)  # new ids: the plain read may have given some out
+    columns = _columns(_row_blocks(parse_flow_rows(fh), ids))
+    return list(ids), columns
 
 
 _INT_FIELDS = ("src_port", "dst_port", "start_ts", "end_ts")
@@ -237,9 +228,7 @@ def flow_rows(fh: IO[str]) -> Iterator[FlowRow]:
     Plain canonical CSV, as ``write_flows`` writes it, is read in blocks of
     about 64 KB by numpy's C reader, and each distinct raw IP text is
     canonicalised once; memory is one block plus one entry per distinct raw
-    IP text. A block's IP texts are all canonicalised before the first of
-    its rows is yielded, since ``_plain_blocks`` does not check them: a bad
-    one must stop the block reader before any row of its block goes out.
+    IP text.
 
     A file that cannot seek back, and the first block that is not plain or
     holds a row numpy cannot read or the parser would reject, go to the row
@@ -249,20 +238,13 @@ def flow_rows(fh: IO[str]) -> Iterator[FlowRow]:
     """
     done = 0
     if fh.seekable():
-        ips = _CanonicalIps()
-        blocks = _plain_blocks(fh)
-        while True:
-            try:
-                rows = next(blocks)
-                src_ips = list(map(ips.__getitem__, rows["src_ip"].tolist()))
-                dst_ips = list(map(ips.__getitem__, rows["dst_ip"].tolist()))
-            except StopIteration:
-                return
-            except (ValueError, OverflowError, DeprecationWarning):
-                fh.seek(0)
-                break
-            done += len(rows)
-            yield from zip(src_ips, dst_ips, *(rows[name].tolist() for name in _INT_FIELDS))
+        try:
+            for src_ips, dst_ips, rows in _plain_blocks(fh, _IpTable()):
+                done += len(rows)
+                yield from zip(src_ips, dst_ips, *(rows[name].tolist() for name in _INT_FIELDS))
+            return
+        except (ValueError, OverflowError, DeprecationWarning):
+            fh.seek(0)
     yield from islice(parse_flow_rows(fh), done, None)
 
 
@@ -293,10 +275,11 @@ def build_static_graph(records: Iterable[FlowRow], retained: set[PortPair]) -> S
     is no address raises ValueError. An empty surviving edge set is an error
     because nothing could be learned from it.
     """
-    ips, (src, dst, src_port, dst_port, _) = _columns(_row_blocks(records))
+    ids = defaultdict(count().__next__)
+    src, dst, src_port, dst_port, _ = _columns(_row_blocks(records, _IpTable(ids.__getitem__)))
     keys = np.array([_pair_key(*pair) for pair in retained], dtype=np.int64)
     edge = np.isin(_pair_key(src_port, dst_port), keys)
-    return _graph_from_edges(ips, src[edge], dst[edge], src_port[edge], dst_port[edge])
+    return _graph_from_edges(list(ids), src[edge], dst[edge], src_port[edge], dst_port[edge])
 
 
 def _learning_edges(fh: IO[str], split: float, fraction: float):

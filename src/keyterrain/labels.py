@@ -53,9 +53,6 @@ class AddressSet:
     def __len__(self) -> int:
         return len(self.addresses) + len(self.networks)
 
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
     def mask(self, ips: Sequence[str]) -> np.ndarray:
         """Boolean membership array aligned with ``ips``."""
         return np.fromiter((ip in self for ip in ips), dtype=bool, count=len(ips))

@@ -146,10 +146,12 @@ def test_packed_ipv4_is_the_text_ipaddress_maps_to_itself(query):
 @example(text="010.0.0.1")
 @example(text="10.0.0.1\x00")
 def test_parser_canonical_ip_matches_ipaddress(text):
-    cache = {}
     expected = outcome(lambda: _canonical_ip_by_stripped_text(text, {}))
-    assert outcome(lambda: flows_module._canonical_ip(text, cache)) == expected
-    assert cache == ({text: expected[1]} if expected[0] == "value" else {})
+    assert outcome(lambda: flows_module._canonical_ip(text)) == expected
+    # the readers' table gives the same, and a failed lookup stores nothing
+    table = flows_module._IpTable()
+    assert outcome(lambda: table[text]) == expected
+    assert table == ({text: expected[1]} if expected[0] == "value" else {})
 
 
 def boundary_queries(items):

@@ -3,6 +3,7 @@
 import io
 import random
 from collections import Counter
+from itertools import islice
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from keyterrain import flows as flows_module
 from keyterrain import graph as graph_module
 from keyterrain.flows import (
     CANONICAL_COLUMNS,
@@ -417,6 +419,13 @@ ODD_IP_TEXTS = (
 # Lines that are no flow row, or a row in a form only the csv tokenizer reads
 ODD_LINES = ("", " ", "\t", "\x0c", '1,2,"10.0.0.1",10.0.0.2,80,443', "1,2,10.0.0.1,10.0.0.2,80")
 INT_FIELDS = ("start_ts", "end_ts", "src_port", "dst_port")
+# Lines with a character str.splitlines() ends a line at and csv does not: a
+# reader that split a block that way would read the first as two valid rows
+SPLITLINES_ONLY = (
+    "1,2,10.0.0.1,10.0.0.2,80,443\x0b5,6,10.0.0.3,10.0.0.4,1,2",
+    "9,9,10.0.0.3\x0c,10.0.0.4,1,2",
+    "9,9,10.0.0.3,10.0.0.4,\x1c1,2",
+)
 
 
 @st.composite
@@ -484,6 +493,12 @@ def assert_file_reads_as_rows(text, split=1.0, fraction=0.0, block=1 << 16):
 )
 @example(text=CANONICAL_HEADER + "1,2,10.0.0.1,10.0.0.2,80,443\n\n", block=1 << 16, split=1.0,
          fraction=0.0)
+@example(text=CANONICAL_HEADER + SPLITLINES_ONLY[0] + "\n", block=1 << 16, split=1.0,
+         fraction=0.0)
+@example(text=CANONICAL_HEADER + SPLITLINES_ONLY[1] + "\n", block=1 << 16, split=1.0,
+         fraction=0.0)
+@example(text=CANONICAL_HEADER + SPLITLINES_ONLY[2] + "\n", block=1 << 16, split=1.0,
+         fraction=0.0)
 @example(text=CANONICAL_HEADER, block=1 << 16, split=1.0, fraction=0.0)
 @example(text="", block=1 << 16, split=1.0, fraction=0.0)
 def test_flow_file_reader_matches_row_parser(text, block, split, fraction):
@@ -531,10 +546,42 @@ def after_plain_blocks(line):
 @example(text=after_plain_blocks("9,9,10.0.0.3,10.0.0.4,1,65536"), block=1 << 16)
 @example(text=after_plain_blocks("9,8,10.0.0.3,10.0.0.4,1,2"), block=1 << 16)
 @example(text=after_plain_blocks(f"{1 << 63},{1 << 63},10.0.0.3,10.0.0.4,1,2"), block=1 << 16)
+@example(text=after_plain_blocks(SPLITLINES_ONLY[0]), block=1 << 16)
+@example(text=after_plain_blocks(SPLITLINES_ONLY[1]), block=1 << 16)
+@example(text=after_plain_blocks(SPLITLINES_ONLY[2]), block=1 << 16)
 @example(text=CANONICAL_HEADER, block=1 << 16)
 @example(text="", block=1 << 16)
 def test_stream_reader_matches_row_parser(text, block):
     assert_stream_reads_as_rows(text, block)
+
+
+def test_plain_blocks_stop_at_a_bad_ip_before_its_block(monkeypatch):
+    monkeypatch.setattr(graph_module, "_BLOCK", 1)  # one line a block
+    rows = ["1,2,10.0.0.1,10.0.0.2,80,443", "3,4,10.0.0.2,10.0.0.1,443,80",
+            "5,6,10.0.0.3,nope,1,2", "7,8,10.0.0.1,10.0.0.3,1,2"]
+    text = io.StringIO(CANONICAL_HEADER + "\n".join(rows) + "\n")
+    blocks = graph_module._plain_blocks(text, flows_module._IpTable())
+    assert [(src, dst, len(block)) for src, dst, block in islice(blocks, 2)] == [
+        (["10.0.0.1"], ["10.0.0.2"], 1), (["10.0.0.2"], ["10.0.0.1"], 1)
+    ]
+    with pytest.raises(ValueError, match="^bad IP address 'nope'$"):
+        next(blocks)
+
+
+def test_row_fallback_canonicalises_each_ip_text_once(monkeypatch):
+    # the quoted header sends the file to the row parser, whose IP text is
+    # already canonical; patched wherever the package binds the name
+    spy = mock.Mock(wraps=flows_module._canonical_ip)
+    for module in (flows_module, graph_module):
+        if hasattr(module, "_canonical_ip"):
+            monkeypatch.setattr(module, "_canonical_ip", spy)
+    rows = [("10.0.0.1", "2001:DB8::1", 80, 443, 0, 0), ("2001:db8::1", "10.0.0.2", 443, 80, 1, 1),
+            ("10.0.0.1", "10.0.0.2", 80, 443, 2, 2)]
+    graph, _ = read_learning_graph(flow_file(rows, QUOTED_HEADER), 1.0, 0.0)
+    assert graph.vertices == ["10.0.0.1", "2001:db8::1", "10.0.0.2"]
+    assert sorted(call.args[0] for call in spy.call_args_list) == [
+        "10.0.0.1", "10.0.0.2", "2001:DB8::1", "2001:db8::1"
+    ]
 
 
 THREE_ROWS = [

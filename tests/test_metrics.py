@@ -1,6 +1,5 @@
 """Precision/recall/F1, top-k accounting, variance, and run summaries."""
 
-import io
 import json
 import random
 

@@ -168,3 +168,28 @@ def test_no_public_name_serves_only_the_unit_tests():
         and node.name not in used
     ]
     assert unused == []
+
+
+def unread_imports(path: Path) -> list[str]:
+    """The names an import statement of the module binds and no code of it reads."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.relative_to(ROOT)}:{line} {name}" for name, line in bound.items()
+            if name not in read]
+
+
+def test_every_imported_name_is_read():
+    paths = [
+        path
+        for folder in (SRC / "keyterrain", ROOT / "tests", ROOT / "bench")
+        for path in sorted(folder.glob("*.py"))
+    ]
+    assert [name for path in paths for name in unread_imports(path)] == []
