@@ -164,7 +164,6 @@ def cmd_learn(args) -> int:
 
 
 def cmd_stream(args) -> int:
-    from .graph import flow_rows
     from .labels import AddressSet
     from .metrics import write_run_summary
     from .pagerank import DampingTable, load_damping_table
@@ -182,7 +181,7 @@ def cmd_stream(args) -> int:
 
     started = time.perf_counter()
     with open(args.flows, encoding="utf-8", newline="") as fh:
-        samples = run_stream(flow_rows(fh), table, config, labels)
+        samples = run_stream(fh, table, config, labels)
     elapsed = time.perf_counter() - started
 
     out_dir = Path(args.out)
@@ -361,6 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # OpenBLAS starts worker threads while numpy loads, a third or more of
+    # numpy's import time on two cores. No keyterrain code calls BLAS (a
+    # test checks this), so one thread changes no result; a value the user
+    # set is kept.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

@@ -127,15 +127,15 @@ def _plain(text: str) -> bool:
     )
 
 
-# A checked block: its source and destination IPs as an IP table gives them,
-# and its structured rows
+# A checked block: its source and destination IPs, each named as the reader's
+# caller names it, and its structured rows
 _Block = tuple[list, list, np.ndarray]
 
 
-def _checked(rows: np.ndarray, ips: dict) -> _Block:
-    """A structured block with its IP texts looked up in ``ips``, which
-    raises ValueError on a text that is no IP address."""
-    src, dst = (list(map(ips.__getitem__, rows[name].tolist())) for name in ("src_ip", "dst_ip"))
+def _checked(rows: np.ndarray, name) -> _Block:
+    """A structured block with its IP texts named by ``name``, which raises
+    ValueError on a text that is no IP address."""
+    src, dst = (list(map(name, rows[field].tolist())) for field in ("src_ip", "dst_ip"))
     return src, dst, rows
 
 
@@ -171,16 +171,16 @@ def _plain_blocks(fh: IO[str], ips: dict) -> Iterator[_Block]:
             raise ValueError("port out of range")
         if (rows["start_ts"] > rows["end_ts"]).any():
             raise ValueError("start_ts after end_ts")
-        yield _checked(rows, ips)
+        yield _checked(rows, ips.__getitem__)
 
 
-def _row_blocks(rows: Iterable[FlowRow], ips: dict) -> Iterator[_Block]:
+def _row_blocks(rows: Iterable[FlowRow], name) -> Iterator[_Block]:
     """``rows`` in structured blocks of ``_BATCH`` rows, as ``_checked`` gives
     them. A value must fit its int64 field, as the parser and FlowRecord make
     sure."""
     rows = iter(rows)
     while batch := list(islice(rows, _BATCH)):
-        yield _checked(np.array(batch, dtype=_ROW_DTYPE), ips)
+        yield _checked(np.array(batch, dtype=_ROW_DTYPE), name)
 
 
 def _columns(blocks: Iterable[_Block]) -> list[np.ndarray]:
@@ -195,57 +195,42 @@ def _columns(blocks: Iterable[_Block]) -> list[np.ndarray]:
     return [np.frombuffer(c, dtype=np.int64) for c in (src, dst, src_port, dst_port, start)]
 
 
-def flow_columns(fh: IO[str]) -> tuple[list[str], list[np.ndarray]]:
-    """The canonical IPs in id order and the ``_columns`` of the rows of
-    ``parse_flow_rows(fh)``, up to the order of the IP ids.
+def flow_blocks(fh: IO[str], ips: _IpTable) -> Iterator[_Block]:
+    """The rows of ``parse_flow_rows(fh)`` in blocks, as ``_checked`` gives
+    them, with each IP as ``ips`` names its text; and the parser's error, if
+    it raises one, after blocks that hold a prefix of the rows before it.
 
     Plain canonical CSV, as ``write_flows`` writes it, is read in blocks of
-    about 64 KB by numpy's C reader. Any other file, a file that cannot seek
-    back, and a file with a row numpy cannot read or the parser would reject
-    go through the row parser from the start, so every error is the parser's
-    own, with its message and line number. The parser's IP text is already
-    canonical, so it is given its id as it is.
-    """
-    if fh.seekable():
-        ids = defaultdict(count().__next__)
-        try:
-            columns = _columns(_plain_blocks(fh, _IpTable(ids.__getitem__)))
-            return list(ids), columns
-        except (ValueError, OverflowError, DeprecationWarning):
-            fh.seek(0)
-    ids = defaultdict(count().__next__)  # new ids: the plain read may have given some out
-    columns = _columns(_row_blocks(parse_flow_rows(fh), ids))
-    return list(ids), columns
-
-
-_INT_FIELDS = ("src_port", "dst_port", "start_ts", "end_ts")
-
-
-def flow_rows(fh: IO[str]) -> Iterator[FlowRow]:
-    """Yield exactly the rows of ``parse_flow_rows(fh)``, and raise its error
-    after the same rows.
-
-    Plain canonical CSV, as ``write_flows`` writes it, is read in blocks of
-    about 64 KB by numpy's C reader, and each distinct raw IP text is
-    canonicalised once; memory is one block plus one entry per distinct raw
-    IP text.
+    about 64 KB by numpy's C reader; memory is one block plus one entry of
+    ``ips`` per distinct raw IP text.
 
     A file that cannot seek back, and the first block that is not plain or
     holds a row numpy cannot read or the parser would reject, go to the row
     parser, which reads the file again from its start and skips the rows
     already yielded. So every error is the parser's own, with its message
     and line number, at the cost of parsing the yielded prefix once more.
+    The parser's IP text is already canonical, so ``ips.keep`` names it.
     """
     done = 0
     if fh.seekable():
         try:
-            for src_ips, dst_ips, rows in _plain_blocks(fh, _IpTable()):
-                done += len(rows)
-                yield from zip(src_ips, dst_ips, *(rows[name].tolist() for name in _INT_FIELDS))
+            for block in _plain_blocks(fh, ips):
+                done += len(block[2])
+                yield block
             return
         except (ValueError, OverflowError, DeprecationWarning):
             fh.seek(0)
-    yield from islice(parse_flow_rows(fh), done, None)
+    yield from _row_blocks(islice(parse_flow_rows(fh), done, None), ips.keep)
+
+
+def flow_columns(fh: IO[str]) -> tuple[list[str], list[np.ndarray]]:
+    """The canonical IPs in id order and the ``_columns`` of the rows of
+    ``parse_flow_rows(fh)``, up to the order of the IP ids, read by
+    ``flow_blocks``. Ids are keyed by canonical text, so those given out
+    before a fall back to the row parser stay valid."""
+    ids = defaultdict(count().__next__)
+    columns = _columns(flow_blocks(fh, _IpTable(ids.__getitem__)))
+    return list(ids), columns
 
 
 def _graph_from_edges(ips: list[str], src, dst, src_port, dst_port) -> StaticGraph:
@@ -276,7 +261,8 @@ def build_static_graph(records: Iterable[FlowRow], retained: set[PortPair]) -> S
     because nothing could be learned from it.
     """
     ids = defaultdict(count().__next__)
-    src, dst, src_port, dst_port, _ = _columns(_row_blocks(records, _IpTable(ids.__getitem__)))
+    name = _IpTable(ids.__getitem__).__getitem__
+    src, dst, src_port, dst_port, _ = _columns(_row_blocks(records, name))
     keys = np.array([_pair_key(*pair) for pair in retained], dtype=np.int64)
     edge = np.isin(_pair_key(src_port, dst_port), keys)
     return _graph_from_edges(list(ids), src[edge], dst[edge], src_port[edge], dst_port[edge])

@@ -8,13 +8,16 @@ flow is one edge; memory grows only with distinct IPs, never with flow count.
 
 from __future__ import annotations
 
+import io
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .flows import FlowRow
+from .flows import FlowRow, _IpTable
+from .graph import _pair_key, flow_blocks
 from .labels import AddressSet
 from .metrics import mask_f1
 from .pagerank import DampingTable, classify
@@ -46,8 +49,28 @@ class SamplePoint:
     topk_tp: int | None = None
 
 
+class _VertexIndex(dict):
+    """IP text to vertex id. Looking up an IP that is not there registers it:
+    it gets the next id, and zero masses."""
+
+    def __init__(self, vertices: list[str], rank_mass: array, active_mass: list[float]):
+        super().__init__()
+        self._registers = (vertices, rank_mass, active_mass)
+
+    def __missing__(self, ip: str) -> int:
+        vertices, rank_mass, active_mass = self._registers
+        idx = self[ip] = len(vertices)
+        vertices.append(ip)
+        rank_mass.append(0.0)
+        active_mass.append(0.0)
+        return idx
+
+
 class StreamState:
     """Per-vertex rank mass and active mass; the registry is append-only.
+
+    ``vertex_index[ip]`` is the id of ``ip`` and registers an IP it has not
+    seen; ``vertex_index.get(ip)`` and ``ip in vertex_index`` register none.
 
     ``rank_mass`` is an ``array('d')``, so a sample reads it through a
     zero-copy numpy view. An array cannot grow while such a view is alive, so
@@ -56,25 +79,17 @@ class StreamState:
     """
 
     def __init__(self):
-        self.vertex_index: dict[str, int] = {}
         self.vertices: list[str] = []
         self.rank_mass = array("d")
         self.active_mass: list[float] = []
+        self.vertex_index: dict[str, int] = _VertexIndex(
+            self.vertices, self.rank_mass, self.active_mass
+        )
         self.flows_processed = 0
 
     @property
     def n(self) -> int:
         return len(self.vertices)
-
-    def vertex_id(self, ip: str) -> int:
-        idx = self.vertex_index.get(ip)
-        if idx is None:
-            idx = len(self.vertices)
-            self.vertex_index[ip] = idx
-            self.vertices.append(ip)
-            self.rank_mass.append(0.0)
-            self.active_mass.append(0.0)
-        return idx
 
 
 def _normalized_scores(state: StreamState) -> np.ndarray:
@@ -128,8 +143,61 @@ def _take_sample(
     return SamplePoint(state.flows_processed, state.n, top, f1, topk_tp)
 
 
+# A chunk of flows: source IP texts, destination IP texts and damping
+# factors, three lists of equal length
+_Chunk = tuple[list, list, list]
+# Flows per chunk of rows from a caller
+_CHUNK = 4096
+
+
+def _row_chunks(flows: Iterable[FlowRow], table: DampingTable) -> Iterator[_Chunk]:
+    """``flows``, 6-tuples in FlowRecord field order, in chunks of ``_CHUNK``
+    flows with their factors from ``table``. When ``flows`` raises, the rows
+    it gave since the last chunk come as one more chunk first."""
+    factor = table.factors.get
+    default = table.default_factor
+    flows = iter(flows)
+    while True:
+        chunk = src, dst, factors = [], [], []
+        try:
+            for src_ip, dst_ip, src_port, dst_port, _, _ in islice(flows, _CHUNK):
+                src.append(src_ip)
+                dst.append(dst_ip)
+                factors.append(factor((src_port, dst_port), default))
+        except Exception:
+            if factors:
+                yield chunk
+            raise
+        if not factors:
+            return
+        yield chunk
+
+
+# 16-bit port numbers: a table pair outside them matches no flow of a file
+_PORTS = range(1 << 16)
+
+
+def _file_chunks(fh: IO[str], table: DampingTable) -> Iterator[_Chunk]:
+    """The flows of the flow file ``fh``, one chunk per block of
+    ``flow_blocks``, with IPs named by their canonical text. A block's
+    factors are found at once: its port pair keys are searched among the
+    table's, sorted, and a key that is not there gets the default."""
+    pairs = sorted(
+        (_pair_key(int(src_port), int(dst_port)), value)
+        for (src_port, dst_port), value in table.factors.items()
+        if src_port in _PORTS and dst_port in _PORTS
+    )
+    # a last key above every port pair key keeps each search position in range
+    keys = np.array([key for key, _ in pairs] + [1 << 32], dtype=np.int64)
+    values = np.array([value for _, value in pairs] + [table.default_factor], dtype=float)
+    for src_ips, dst_ips, rows in flow_blocks(fh, _IpTable()):
+        key = _pair_key(rows["src_port"], rows["dst_port"])
+        at = keys.searchsorted(key)
+        yield src_ips, dst_ips, np.where(keys[at] == key, values[at], values[-1]).tolist()
+
+
 def run_stream(
-    flows: Iterable[FlowRow],
+    flows: Iterable[FlowRow] | IO[str],
     table: DampingTable,
     config: StreamConfig | None = None,
     labels: AddressSet | None = None,
@@ -137,8 +205,13 @@ def run_stream(
 ) -> list[SamplePoint]:
     """Single pass over ``flows`` in the caller's order, advancing ``state``.
 
-    A flow is any 6-tuple in FlowRecord field order (a FlowRecord or a plain
-    row from ``parse_flow_rows``).
+    ``flows`` is either any iterable of 6-tuples in FlowRecord field order (a
+    FlowRecord or a plain row from ``parse_flow_rows``), whose IP text is
+    used as given; or a flow file open in text mode, which is read as
+    ``parse_flow_rows`` reads it, with every error of the parser, by
+    ``graph.flow_blocks``. When an iterable raises, every flow it gave is
+    applied; when reading a file raises, a prefix of the rows before the
+    error is.
 
     Each flow's damping factor comes from the table; pairs never learned
     resolve to its default. Every increment is a product of non-negative
@@ -155,38 +228,43 @@ def run_stream(
     interval = config.sample_interval
     beta = config.beta
     keep = 1.0 - beta
-    factor = table.factors.get
-    default = table.default_factor
-    known = state.vertex_index.get
-    vertex_id = state.vertex_id
+    vertex = state.vertex_index.__getitem__
     rank = state.rank_mass
     active = state.active_mass
     samples = []
     label_flags = bytearray()
-    for src_ip, dst_ip, src_port, dst_port, _, _ in flows:
-        u = known(src_ip)
-        if u is None:
-            u = vertex_id(src_ip)
-        v = known(dst_ip)
-        if v is None:
-            v = vertex_id(dst_ip)
-        d = factor((src_port, dst_port), default)
-        # Each mass is read and written once, because every array access
-        # boxes or unboxes a float. The rule, in order: u gains fresh = 1 - d
-        # in both masses, v gains d * moving in rank and d * beta * moving
-        # in active, and u keeps (1 - beta) of its active mass after that.
-        fresh = 1.0 - d
-        moving = active[u] + fresh
-        rank[u] += fresh
-        rank[v] += d * moving
-        if u != v:
-            active[v] += d * beta * moving
-            active[u] = keep * moving
-        else:  # a self-flow's share lands back on u before u decays
-            active[u] = keep * (moving + d * beta * moving)
-        state.flows_processed += 1
-        if interval and state.flows_processed % interval == 0:
-            samples.append(_take_sample(state, config, labels, label_flags))
+    if isinstance(flows, io.TextIOBase):
+        chunks = _file_chunks(flows, table)
+    else:
+        chunks = _row_chunks(flows, table)
+    for src_ips, dst_ips, factors in chunks:
+        # zip draws from its arguments in order, so a flow's source is
+        # registered before its destination, and both before the next flow's
+        updates = zip(map(vertex, src_ips), map(vertex, dst_ips), factors)
+        left = len(factors)
+        while left:
+            # up to the next sample at a time, so that a sample sees the
+            # state after exactly its flows, vertices registered included
+            take = min(left, interval - state.flows_processed % interval) if interval else left
+            for u, v, d in islice(updates, take):
+                # Each mass is read and written once, because every array
+                # access boxes or unboxes a float. The rule, in order: u
+                # gains fresh = 1 - d in both masses, v gains d * moving in
+                # rank and d * beta * moving in active, and u keeps
+                # (1 - beta) of its active mass after that.
+                fresh = 1.0 - d
+                moving = active[u] + fresh
+                rank[u] += fresh
+                rank[v] += d * moving
+                if u != v:
+                    active[v] += d * beta * moving
+                    active[u] = keep * moving
+                else:  # a self-flow's share lands back on u before u decays
+                    active[u] = keep * (moving + d * beta * moving)
+            state.flows_processed += take
+            left -= take
+            if interval and state.flows_processed % interval == 0:
+                samples.append(_take_sample(state, config, labels, label_flags))
     samples.append(_take_sample(state, config, labels, label_flags))
     return samples
 

@@ -1073,6 +1073,17 @@ def test_plain_file_never_reaches_the_row_parser_in_stream(tmp_path, monkeypatch
         assert (out / name).read_bytes() == (expected / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_main_starts_openblas_with_one_thread_unless_set(tmp_path, monkeypatch, preset, expected):
+    # setenv first, so that the variable is restored to its state before the test
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset or "")
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    missing = str(tmp_path / "missing.csv")
+    assert main(["prepare", "--flows", missing, "--out", str(tmp_path / "out.csv")]) == 1
+    assert os.environ["OPENBLAS_NUM_THREADS"] == expected
+
+
 def test_help_lists_commands(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--help"])

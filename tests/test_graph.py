@@ -1,7 +1,9 @@
-"""Port-pair census, frequency filtering, and static graph construction."""
+"""Port-pair census, frequency filtering, static graph construction, and the
+flow file readers."""
 
 import io
 import random
+from array import array
 from collections import Counter
 from itertools import islice
 from unittest import mock
@@ -16,6 +18,7 @@ from keyterrain import graph as graph_module
 from keyterrain.flows import (
     CANONICAL_COLUMNS,
     FlowParseError,
+    FlowRecord,
     ParseStats,
     PortPair,
     dedupe_flows,
@@ -28,10 +31,13 @@ from keyterrain.graph import (
     build_static_graph,
     count_port_pairs,
     filter_port_pairs,
-    flow_rows,
+    flow_blocks,
     read_learning_graph,
     write_edge_list,
 )
+from keyterrain.labels import AddressSet
+from keyterrain.pagerank import DampingTable
+from keyterrain.streaming import StreamConfig, StreamState, run_stream
 
 from instances import (
     count_port_pairs_by_records,
@@ -505,9 +511,17 @@ def test_flow_file_reader_matches_row_parser(text, block, split, fraction):
     assert_file_reads_as_rows(text, split, fraction, block)
 
 
+def block_rows(fh):
+    """The rows of ``flow_blocks(fh, _IpTable())``, rebuilt from its blocks."""
+    for src_ips, dst_ips, rows in flow_blocks(fh, flows_module._IpTable()):
+        ports_and_times = (rows[name].tolist() for name in FlowRecord._fields[2:])
+        yield from zip(src_ips, dst_ips, *ports_and_times)
+
+
 def assert_stream_reads_as_rows(text, block=1 << 16):
-    """``flow_rows`` yields the rows of the row parser, as the same str and
-    int values, then raises the same error, or none."""
+    """``flow_blocks`` holds the rows of the row parser, as the same str and
+    int values, then raises the same error, or none. Before an error, the
+    blocks may hold only a prefix of the rows the parser gave."""
 
     def read(reader):
         rows = []
@@ -520,10 +534,14 @@ def assert_stream_reads_as_rows(text, block=1 << 16):
 
     expected = read(parse_flow_rows)
     with mock.patch.object(graph_module, "_BLOCK", block):
-        got = read(flow_rows)
-    assert got == expected
+        got = read(block_rows)
+    assert got[1:] == expected[1:]
+    if got[1] is None:
+        assert got[0] == expected[0]
+    else:
+        assert got[0] == expected[0][: len(got[0])]
     assert [list(map(type, row)) for row in got[0]] == [
-        list(map(type, row)) for row in expected[0]
+        list(map(type, row)) for row in expected[0][: len(got[0])]
     ]
 
 
@@ -553,6 +571,66 @@ def after_plain_blocks(line):
 @example(text="", block=1 << 16)
 def test_stream_reader_matches_row_parser(text, block):
     assert_stream_reads_as_rows(text, block)
+
+
+def stream_one_row_at_a_time(rows, table, config, labels, state):
+    """The samples of ``run_stream`` over ``rows``, each row applied by a
+    call of its own on ``state``."""
+    samples = []
+    for row in rows:
+        samples += run_stream([row], table, config, labels, state)[:-1]
+    return samples + run_stream([], table, config, labels, state)
+
+
+def assert_same_state(state, expected):
+    assert state.rank_mass.tobytes() == expected.rank_mass.tobytes()
+    assert array("d", state.active_mass).tobytes() == array("d", expected.active_mass).tobytes()
+    assert state.vertices == expected.vertices
+    assert state.flows_processed == expected.flows_processed
+
+
+STREAM_LABELS = AddressSet(["10.0.0.2", "2001:db8::1"])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    text=flow_file_texts(),
+    block=st.sampled_from((1, 7, 64, 1 << 16)),
+    interval=st.sampled_from((0, 1, 3, 7, 1000)),
+    factors=st.dictionaries(st.sampled_from(ORACLE_PAIRS), st.sampled_from((0.0, 0.3, 1.0))),
+    default=st.sampled_from((0.0, 0.85, 1.0)),
+)
+@example(text=PLAIN_BLOCKS, block=1 << 16, interval=1000, factors={PortPair(1001, 443): 0.5},
+         default=0.85)
+@example(text=after_plain_blocks("9,9,10.0.0.3,nope,1,2"), block=1 << 16, interval=7,
+         factors={}, default=0.85)
+def test_stream_over_a_file_applies_the_parsers_rows(text, block, interval, factors, default):
+    # the file feed resolves a block's factors at once and cuts its blocks at
+    # every sample; one call per parsed row is the plain rule
+    table = DampingTable(factors, default)
+    config = StreamConfig(sample_interval=interval, top_k=3)
+    rows, error = [], None
+    try:
+        rows.extend(parse_flow_rows(io.StringIO(text, newline="")))
+    except ValueError as exc:
+        error = exc
+    state = StreamState()
+    with mock.patch.object(graph_module, "_BLOCK", block):
+        if error is None:
+            samples = run_stream(io.StringIO(text, newline=""), table, config, STREAM_LABELS, state)
+        else:
+            with pytest.raises(type(error)) as excinfo:
+                run_stream(io.StringIO(text, newline=""), table, config, STREAM_LABELS, state)
+            assert str(excinfo.value) == str(error)
+    # after an error, the file has applied some prefix of the rows before it
+    assert state.flows_processed <= len(rows)
+    expected = StreamState()
+    expected_samples = stream_one_row_at_a_time(
+        rows[: state.flows_processed], table, config, STREAM_LABELS, expected
+    )
+    assert_same_state(state, expected)
+    if error is None:
+        assert samples == expected_samples
 
 
 def test_plain_blocks_stop_at_a_bad_ip_before_its_block(monkeypatch):

@@ -58,6 +58,16 @@ def test_cli_import_loads_no_numpy(tmp_path):
     assert out.split() == ["False"]
 
 
+def test_package_and_cli_imports_change_no_environment_variable(tmp_path):
+    out = run_python(
+        "import os; before = dict(os.environ)\n"
+        "import keyterrain, keyterrain.cli\n"
+        "print(dict(os.environ) == before)",
+        tmp_path,
+    )
+    assert out.split() == ["True"]
+
+
 def test_cli_import_loads_no_seed_or_spill_modules(tmp_path):
     # secrets serves only an unseeded learn, tempfile and pickle only a sort
     # that spills; -S keeps site hooks (.pth files) from importing them first
@@ -193,3 +203,20 @@ def test_every_imported_name_is_read():
         for path in sorted(folder.glob("*.py"))
     ]
     assert [name for path in paths for name in unread_imports(path)] == []
+
+
+# numpy functions that hand their work to BLAS
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
+
+
+def test_no_package_code_reaches_blas():
+    # main() starts numpy with one OpenBLAS thread; that can neither change a
+    # result nor slow a command while no keyterrain code calls BLAS
+    found = []
+    for path in sorted((SRC / "keyterrain").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [f"{path.name}:{node.lineno} @" for node in ast.walk(tree)
+                  if isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.MatMult)]
+        found += [f"{path.name} {name}" for name in sorted(names_used(path) & BLAS_NAMES)]
+    assert found == []

@@ -55,8 +55,7 @@ def test_stream_f1_matches_set_based_f1(rank_mass, labeled, all_equal):
     # labels may name IPs outside the universe, which must not count anywhere
     state = StreamState()
     for i, mass in enumerate(rank_mass):
-        state.vertex_id(ip_of(i))
-        state.rank_mass[i] = mass
+        state.rank_mass[state.vertex_index[ip_of(i)]] = mass
     # equal masses put every score exactly on the 1/n threshold
     if all_equal:
         state.rank_mass[:] = array("d", [1.0] * len(rank_mass))
@@ -272,8 +271,7 @@ tied_masses = st.sampled_from((0.0, 1.0, 2.5))
 def test_sampled_top_k_is_the_snapshot_head(rank_mass, top_k, all_equal):
     state = StreamState()
     for i, mass in enumerate(rank_mass):
-        state.vertex_id(ip_of(i))
-        state.rank_mass[i] = 1.0 if all_equal else mass
+        state.rank_mass[state.vertex_index[ip_of(i)]] = 1.0 if all_equal else mass
 
     sample = run_stream([], DampingTable(), StreamConfig(top_k=top_k), None, state)[-1]
 
@@ -293,8 +291,7 @@ def test_sampled_topk_tp_counts_labeled_top_ips(rank_mass, labeled, top_k, with_
     # labels may name IPs outside the universe, and a prefix may cover some
     state = StreamState()
     for i, mass in enumerate(rank_mass):
-        state.vertex_id(ip_of(i))
-        state.rank_mass[i] = mass
+        state.rank_mass[state.vertex_index[ip_of(i)]] = mass
     labels = AddressSet([ip_of(i) for i in labeled] + (["10.50.0.0/30"] if with_prefix else []))
 
     sample = run_stream([], DampingTable(), StreamConfig(top_k=top_k), labels, state)[-1]

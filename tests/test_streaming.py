@@ -10,6 +10,7 @@ import pytest
 from keyterrain.labels import AddressSet
 from keyterrain.pagerank import DampingTable, run_to_convergence
 from keyterrain.streaming import (
+    _CHUNK,
     SamplePoint,
     StreamConfig,
     StreamState,
@@ -96,9 +97,10 @@ class TestStreamUpdate:
         apply_flow(state, flow("10.0.0.1", "10.0.0.2", 1, 2, 0), table_085())
         first = dict(state.vertex_index)
         apply_flow(state, flow("10.0.0.3", "10.0.0.1", 1, 2, 1), table_085())
+        # get() registers nothing, so an IP the flows missed reads as None
         for ip, idx in first.items():
-            assert state.vertex_index[ip] == idx
-        assert state.vertex_index["10.0.0.3"] == 2
+            assert state.vertex_index.get(ip) == idx
+        assert state.vertex_index.get("10.0.0.3") == 2
 
 
 class TestSnapshot:
@@ -113,8 +115,7 @@ class TestSnapshot:
 
     def test_single_vertex(self):
         state = StreamState()
-        state.vertex_id("10.0.0.1")
-        state.rank_mass[0] = 3.25
+        state.rank_mass[state.vertex_index["10.0.0.1"]] = 3.25
         scores, ranking = snapshot(state)
         assert scores[0] == 1.0
         assert ranking == ["10.0.0.1"]
@@ -122,7 +123,7 @@ class TestSnapshot:
     def test_all_zero_keeps_registration_order(self):
         state = StreamState()
         for ip in ("10.0.0.3", "10.0.0.1", "10.0.0.2"):
-            state.vertex_id(ip)
+            state.vertex_index[ip]
         scores, ranking = snapshot(state)
         assert np.array_equal(scores, np.zeros(3))
         assert ranking == ["10.0.0.3", "10.0.0.1", "10.0.0.2"]
@@ -130,7 +131,7 @@ class TestSnapshot:
     def test_ties_break_by_registration_order(self):
         state = StreamState()
         for ip in ("10.0.0.9", "10.0.0.1"):
-            state.vertex_id(ip)
+            state.vertex_index[ip]
         state.rank_mass[0] = state.rank_mass[1] = 1.0
         _, ranking = snapshot(state)
         assert ranking == ["10.0.0.9", "10.0.0.1"]
@@ -202,6 +203,46 @@ class TestRunStream:
         assert state.n == 20
         assert len(state.rank_mass) == 20
         assert len(state.active_mass) == 20
+
+
+    @pytest.mark.parametrize("k", [0, 1, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 5])
+    def test_a_raising_source_leaves_every_flow_it_gave_applied(self, k):
+        rng = random.Random(k)
+        rows = [tuple(flow(f"10.0.0.{rng.randrange(9)}", f"10.0.0.{rng.randrange(9)}",
+                           rng.choice((1, 9)), 2, ts)) for ts in range(k)]
+        table = DampingTable({(1, 2): 0.3}, 0.85)
+        config = StreamConfig(sample_interval=5)
+
+        def source():
+            yield from rows
+            raise RuntimeError("source failed")
+
+        state = StreamState()
+        with pytest.raises(RuntimeError, match="source failed"):
+            run_stream(source(), table, config, state=state)
+        expected = StreamState()
+        run_stream(rows, table, config, state=expected)
+        assert state.flows_processed == k
+        assert state.rank_mass.tobytes() == expected.rank_mass.tobytes()
+        assert state.active_mass == expected.active_mass
+        assert state.vertices == expected.vertices
+
+
+    def test_a_file_matches_no_pair_outside_the_port_range(self):
+        # a block's pair key is (src_port << 16) | dst_port, so the first pair
+        # would alias (1, 80) if it were searched; a float port that equals
+        # an int one matches, as it does in a dict
+        rows = [("10.0.0.1", "10.0.0.2", 1, 80, 0, 0), ("10.0.0.2", "10.0.0.1", 80, 443, 1, 1)]
+        text = "start_ts,end_ts,src_ip,dst_ip,src_port,dst_port\n0,0,10.0.0.1,10.0.0.2,1,80\n"
+        text += "1,1,10.0.0.2,10.0.0.1,80,443\n"
+        table = DampingTable({(0, (1 << 16) + 80): 0.0, (-1, 80): 0.0, (80.0, 443.0): 0.3}, 0.85)
+        by_file, by_rows = StreamState(), StreamState()
+        run_stream(io.StringIO(text, newline=""), table, state=by_file)
+        run_stream(rows, table, state=by_rows)
+        assert by_file.rank_mass.tobytes() == by_rows.rank_mass.tobytes()
+        assert by_file.active_mass == by_rows.active_mass
+        # the first flow's factor is the default, the second's 0.3
+        assert by_file.rank_mass[0] == pytest.approx(0.15 + 0.3 * (0.85 * 0.5 * 0.15 + 0.7))
 
 
 class TestStreamConfig:
