@@ -11,7 +11,7 @@ package, or ``keyterrain.cli`` for ``prepare``, imports no numpy.
 import importlib
 
 _EXPORTS = {
-    "constants": ("DEFAULT_DAMPING", "HEURISTICS"),
+    "constants": ("DEFAULT_DAMPING", "HEURISTICS", "LearnConfig", "StreamConfig"),
     "flows": (
         "FlowParseError", "FlowRecord", "FlowRow", "ParseStats", "PortPair", "dedupe_flows",
         "parse_flow_rows", "parse_flows", "sort_flows", "write_flows",
@@ -22,8 +22,8 @@ _EXPORTS = {
     ),
     "labels": ("AddressSet",),
     "learning": (
-        "LearnConfig", "LearnResult", "choose_conflict_port_pair", "evaluate_classification",
-        "grid_values", "hill_climb_step", "learn", "random_walk_step",
+        "LearnResult", "choose_conflict_port_pair", "evaluate_classification", "grid_values",
+        "hill_climb_step", "learn", "random_walk_step",
     ),
     "metrics": ("Metrics", "precision_recall_f1", "topk_true_positives", "variance_of_tp"),
     "pagerank": (
@@ -31,7 +31,7 @@ _EXPORTS = {
         "contraction_bound", "default_iteration", "init_scores", "load_damping_table",
         "run_adjusted_to_convergence", "run_to_convergence", "save_damping_table",
     ),
-    "streaming": ("SamplePoint", "StreamConfig", "StreamState", "run_stream", "snapshot"),
+    "streaming": ("SamplePoint", "StreamState", "run_stream", "snapshot"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

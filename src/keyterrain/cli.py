@@ -12,7 +12,7 @@ from pathlib import Path
 # Building the parser and running prepare need only these two modules. The
 # other commands import the numpy-backed modules they use inside their own
 # functions, so prepare never loads numpy.
-from .constants import DEFAULT_DAMPING, HEURISTICS
+from .constants import DEFAULT_DAMPING, HEURISTICS, LearnConfig, StreamConfig
 from .flows import ParseStats, dedupe_flows, parse_flow_rows, sort_flows, write_flows
 
 
@@ -111,13 +111,12 @@ def _learning_inputs(args):
 
 def cmd_learn(args) -> int:
     from .graph import write_edge_list
-    from .learning import LearnConfig, learn
+    from .learning import learn
     from .metrics import write_run_summary
     from .pagerank import save_damping_table
 
     seed = _resolve_seed(args)
-    heuristic = args.heuristic.replace("-", "_")
-    settings = _effective_config(args, heuristic=heuristic, seed=seed)
+    settings = _effective_config(args, heuristic=args.heuristic.replace("-", "_"), seed=seed)
     config = LearnConfig(**{f.name: settings[f.name] for f in fields(LearnConfig)})
 
     started = time.perf_counter()
@@ -167,7 +166,7 @@ def cmd_stream(args) -> int:
     from .labels import AddressSet
     from .metrics import write_run_summary
     from .pagerank import DampingTable, load_damping_table
-    from .streaming import StreamConfig, run_stream, write_samples_csv, write_topk_csv
+    from .streaming import run_stream, write_samples_csv, write_topk_csv
 
     if (args.factors is None) != args.default_factors:
         raise ValueError("give exactly one of --factors and --default-factors")
@@ -304,25 +303,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prepare.set_defaults(func=cmd_prepare)
 
-    learn_p = sub.add_parser("learn", help="learn damping factors on the static graph")
-    learn_p.add_argument("--flows", required=True, help="ordered flow CSV")
-    learn_p.add_argument("--labels", required=True, help="critical IPs/CIDRs, one per line")
-    learn_p.add_argument("--out", required=True, help="output directory")
-    learn_p.add_argument(
-        "--pair-fraction",
-        type=float,
-        required=True,
+    # learn and baseline must build the same learning graph from these options
+    graph_options = argparse.ArgumentParser(add_help=False)
+    graph_options.add_argument("--flows", required=True, help="ordered flow CSV")
+    graph_options.add_argument("--labels", required=True, help="critical IPs/CIDRs, one per line")
+    graph_options.add_argument(
+        "--pair-fraction", type=float, required=True,
         help="retain port pairs in strictly more than this fraction of flows",
     )
-    learn_p.add_argument("--learn-split", type=float, default=0.70)
+    graph_options.add_argument("--learn-split", type=float, default=0.70)
+
+    learn_p = sub.add_parser("learn", parents=[graph_options],
+                             help="learn damping factors on the static graph")
+    learn_p.add_argument("--out", required=True, help="output directory")
     learn_p.add_argument(
         "--heuristic",
         choices=[name.replace("_", "-") for name in HEURISTICS],
-        default="minimum",
+        default=LearnConfig.heuristic.replace("_", "-"),
     )
-    learn_p.add_argument("--max-iterations", type=int, default=1000)
-    learn_p.add_argument("--rw-probability", type=float, default=0.1)
-    learn_p.add_argument("--grid-step", type=float, default=0.05)
+    learn_p.add_argument("--max-iterations", type=int, default=LearnConfig.max_iterations)
+    learn_p.add_argument("--rw-probability", type=float, default=LearnConfig.rw_probability)
+    learn_p.add_argument("--grid-step", type=float, default=LearnConfig.grid_step)
     learn_p.add_argument("--seed", type=int, default=None)
     learn_p.set_defaults(func=cmd_learn)
 
@@ -337,19 +338,16 @@ def build_parser() -> argparse.ArgumentParser:
     stream_p.add_argument("--labels", help="optional critical IPs/CIDRs for F1 samples")
     stream_p.add_argument("--local-prefixes", help="optional local network CIDRs")
     stream_p.add_argument("--out", required=True, help="output directory")
-    stream_p.add_argument("--beta", type=float, default=0.5)
-    stream_p.add_argument("--sample-interval", type=int, default=0)
-    stream_p.add_argument("--top-k", type=int, default=100)
+    stream_p.add_argument("--beta", type=float, default=StreamConfig.beta)
+    stream_p.add_argument("--sample-interval", type=int, default=StreamConfig.sample_interval)
+    stream_p.add_argument("--top-k", type=int, default=StreamConfig.top_k)
     stream_p.set_defaults(func=cmd_stream)
 
     baseline = sub.add_parser(
-        "baseline", help="converged F1 of both unadjusted variants on the learning graph"
+        "baseline", parents=[graph_options],
+        help="converged F1 of both unadjusted variants on the learning graph",
     )
-    baseline.add_argument("--flows", required=True)
-    baseline.add_argument("--labels", required=True)
     baseline.add_argument("--out", help="optional output directory for baseline.json")
-    baseline.add_argument("--pair-fraction", type=float, required=True)
-    baseline.add_argument("--learn-split", type=float, default=0.70)
     baseline.add_argument("--damping", type=float, default=DEFAULT_DAMPING)
     baseline.add_argument("--tolerance", type=float, default=1e-9)
     baseline.add_argument("--max-iterations", type=int, default=100)

@@ -201,8 +201,8 @@ def flow_blocks(fh: IO[str], ips: _IpTable) -> Iterator[_Block]:
     it raises one, after blocks that hold a prefix of the rows before it.
 
     Plain canonical CSV, as ``write_flows`` writes it, is read in blocks of
-    about 64 KB by numpy's C reader; memory is one block plus one entry of
-    ``ips`` per distinct raw IP text.
+    about 64 KB by numpy's C reader. Memory is the block being read, the one
+    the caller still holds, and one entry of ``ips`` per distinct raw IP text.
 
     A file that cannot seek back, and the first block that is not plain or
     holds a row numpy cannot read or the parser would reject, go to the row

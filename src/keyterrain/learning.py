@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import HEURISTICS
+from .constants import HEURISTICS, LearnConfig
 from .flows import PortPair
 from .graph import StaticGraph
 from .labels import AddressSet
@@ -26,25 +26,6 @@ from .pagerank import (
     classify,
     init_scores,
 )
-
-
-@dataclass
-class LearnConfig:
-    max_iterations: int = 1000
-    rw_probability: float = 0.1
-    heuristic: str = "minimum"
-    grid_step: float = 0.05
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.heuristic not in HEURISTICS:
-            raise ValueError(f"unknown heuristic {self.heuristic!r}; use one of {HEURISTICS}")
-        if not 0.0 <= self.rw_probability <= 1.0:
-            raise ValueError(f"rw_probability out of [0, 1]: {self.rw_probability}")
-        if not 0.0 < self.grid_step <= 1.0:
-            raise ValueError(f"grid_step out of (0, 1]: {self.grid_step}")
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be non-negative")
 
 
 @dataclass
@@ -105,7 +86,7 @@ def random_walk_step(
     return table.with_factor(pair, rng.random())
 
 
-def grid_values(step: float = 0.05) -> list[float]:
+def grid_values(step: float = LearnConfig.grid_step) -> list[float]:
     """Evenly stepped factor grid over [0, 1]; both endpoints always included."""
     if not 0.0 < step <= 1.0:
         raise ValueError(f"grid step out of (0, 1]: {step}")
@@ -240,7 +221,7 @@ def hill_climb_step(
     labels: AddressSet,
     heuristic: str,
     current_f1: float,
-    grid_step: float = 0.05,
+    grid_step: float = LearnConfig.grid_step,
 ) -> DampingTable:
     """Grid-search one pair's factor and commit a value per the tie heuristic.
 

@@ -16,26 +16,12 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .constants import StreamConfig
 from .flows import FlowRow, _IpTable
 from .graph import _pair_key, flow_blocks
 from .labels import AddressSet
 from .metrics import mask_f1
 from .pagerank import DampingTable, classify
-
-
-@dataclass
-class StreamConfig:
-    beta: float = 0.5
-    sample_interval: int = 0  # 0 means only the end-of-stream sample
-    top_k: int = 100
-
-    def __post_init__(self):
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError(f"beta out of (0, 1]: {self.beta}")
-        if self.sample_interval < 0:
-            raise ValueError("sample_interval must be non-negative")
-        if self.top_k < 1:
-            raise ValueError("top_k must be at least 1")
 
 
 @dataclass
@@ -106,13 +92,12 @@ def snapshot(state: StreamState) -> tuple[np.ndarray, list[str]]:
     scores (no division) and the registration order itself.
     """
     scores = _normalized_scores(state)
-    order = np.lexsort((np.arange(len(scores)), -scores))
-    return scores, [state.vertices[i] for i in order]
+    return scores, [state.vertices[i] for i in _top_indices(scores, len(scores))]
 
 
 def _top_indices(scores: np.ndarray, k: int) -> np.ndarray:
-    """The first k vertices of ``snapshot``'s ranking, without ranking the rest:
-    only scores at or above the k-th highest are sorted."""
+    """The first k vertices by descending score, ties by id, without ranking
+    the rest: only scores at or above the k-th highest are sorted."""
     candidates = np.arange(len(scores))
     if k < len(scores):
         kth = -np.partition(-scores, k - 1)[k - 1]

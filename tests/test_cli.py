@@ -6,8 +6,11 @@ import hashlib
 import json
 import os
 import random
+import re
 import threading
 import warnings
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -21,10 +24,13 @@ from keyterrain.flows import (
     write_flows,
 )
 from keyterrain.labels import AddressSet
+from keyterrain.learning import LearnConfig
 from keyterrain.pagerank import DampingTable
 from keyterrain.streaming import StreamConfig, run_stream, write_samples_csv, write_topk_csv
 
 from instances import STAR_SERVER, flow, star_instance, tangled_instance
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # sha256 of (factors.csv, f1_trace.csv) for a seeded 60-iteration learn on
 # tangled_instance(); any change to a choice the learner makes changes them
@@ -695,12 +701,105 @@ def test_baseline_reports_split_counts(split_files, tmp_path):
     assert payload["graph"] == SPLIT_GRAPH
 
 
-def option_dests(command):
-    """The dests of a command's options, in the order build_parser adds them."""
+def test_learn_and_baseline_build_one_learning_graph(split_files, tmp_path):
+    # baseline is learn's reference only while both build the same graph from
+    # the same options, their defaults included
+    flows_path, labels_path = split_files
+    graph = ["--flows", str(flows_path), "--labels", str(labels_path), "--pair-fraction", "0.01"]
+    learned, base = tmp_path / "learned", tmp_path / "base"
+    assert main(["learn", *graph, "--out", str(learned),
+                 "--max-iterations", "2", "--seed", "7"]) == 0
+    assert main(["baseline", *graph, "--out", str(base)]) == 0
+    report = json.loads((learned / "report.json").read_text())
+    baseline = json.loads((base / "baseline.json").read_text())
+    assert report["graph"] == baseline["graph"]
+    assert report["graph"]["flows_learning"] == 7
+    assert report["config"]["learn_split"] == baseline["config"]["learn_split"]
+
+
+def command_parser(command):
+    """The parser build_parser adds for ``command``."""
     (commands,) = [
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     ]
-    return [a.dest for a in commands.choices[command]._actions if a.dest != "help"]
+    return commands.choices[command]
+
+
+def option_dests(command):
+    """The dests of a command's options, in the order build_parser adds them."""
+    return [a.dest for a in command_parser(command)._actions if a.dest != "help"]
+
+
+@pytest.mark.parametrize("command, config", [("learn", LearnConfig()), ("stream", StreamConfig())])
+def test_parser_defaults_are_the_config_defaults(command, config):
+    # learn's --seed alone differs: without it a fresh seed is drawn
+    parser = command_parser(command)
+    names = [f.name for f in fields(config) if f.name != "seed"]
+    expected = {name: getattr(config, name) for name in names}
+    if command == "learn":
+        expected["heuristic"] = expected["heuristic"].replace("_", "-")
+    assert {name: parser.get_default(name) for name in names} == expected
+
+
+def help_entries(command, capsys):
+    """The option entries of a command's --help, each a list of its lines,
+    by the entry's first option string."""
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    entries = {}
+    for line in capsys.readouterr().out.split("options:\n", 1)[1].splitlines():
+        if line.startswith("  -"):
+            entry = entries[line.split()[0]] = []
+        entry.append(line)
+    return entries
+
+
+def test_learn_and_baseline_help_describe_the_graph_options_alike(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    shared = ("--flows", "--labels", "--pair-fraction", "--learn-split")
+    learn = help_entries("learn", capsys)
+    baseline = help_entries("baseline", capsys)
+    assert [learn[option] for option in shared] == [baseline[option] for option in shared]
+
+
+# README's Defaults table, row by row: the parser options whose defaults each
+# row states, in the order it states them
+README_DEFAULTS = {
+    "damping factor (unlearned pairs)": [("baseline", "damping")],
+    "learning iterations": [("learn", "max_iterations")],
+    "random-walk probability": [("learn", "rw_probability")],
+    "factor grid step": [("learn", "grid_step")],
+    "heuristic": [("learn", "heuristic")],
+    "learn split": [("learn", "learn_split")],
+    "streaming transition probability (beta)": [("stream", "beta")],
+    "sample interval": [("stream", "sample_interval")],
+    "top-k": [("stream", "top_k")],
+    "convergence tolerance / max iterations (baseline)": [
+        ("baseline", "tolerance"), ("baseline", "max_iterations"),
+    ],
+}
+
+
+def stated_value(text):
+    """The first value a Defaults cell states: a number, a percentage as a
+    fraction, or else its first word."""
+    number = re.search(r"\d[\d.e-]*%?", text)
+    if number is None:
+        return text.split()[0]
+    value = number.group()
+    return float(value[:-1]) / 100 if value.endswith("%") else float(value)
+
+
+def test_readme_defaults_table_states_the_parser_defaults():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Defaults\n", 1)[1].split("\n## ", 1)[0]
+    # the header row and the separator row come first
+    rows = [line.strip("|").split("|") for line in section.splitlines() if line.startswith("|")]
+    table = {setting.strip(): cell for setting, cell in rows[2:]}
+    assert list(table) == list(README_DEFAULTS)
+    for setting, options in README_DEFAULTS.items():
+        stated = [stated_value(part) for part in table[setting].split(" / ")]
+        assert stated == [command_parser(c).get_default(dest) for c, dest in options], setting
 
 
 @pytest.mark.parametrize("command", ["prepare", "learn", "stream", "baseline"])

@@ -180,6 +180,49 @@ def test_no_public_name_serves_only_the_unit_tests():
     assert unused == []
 
 
+def loads(node) -> set[str]:
+    """Every name a statement reads: a loaded name or attribute, or an imported name."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and not isinstance(sub.ctx, ast.Store):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.rpartition(".")[2])
+    return names
+
+
+def defines(node) -> list[str]:
+    """The module-level names a top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [sub.id for target in targets for sub in ast.walk(target) if isinstance(sub, ast.Name)]
+
+
+def test_no_private_name_serves_only_the_unit_tests():
+    # the same rule for private names: each private module-level function,
+    # class or constant must be read by package code, its own definition not
+    # counting, or it serves only the tests that reach into the module
+    top = [(path.stem, node) for path in sorted((SRC / "keyterrain").glob("*.py"))
+           for node in ast.parse(path.read_text()).body]
+    read = [loads(node) for _, node in top]
+    unread = [
+        f"{module}.{name}"
+        for i, (module, node) in enumerate(top)
+        for name in defines(node)
+        if name.startswith("_") and not name.endswith("__")
+        and not any(name in names for j, names in enumerate(read) if j != i)
+    ]
+    assert unread == []
+
+
 def unread_imports(path: Path) -> list[str]:
     """The names an import statement of the module binds and no code of it reads."""
     tree = ast.parse(path.read_text())

@@ -278,6 +278,8 @@ def test_sampled_top_k_is_the_snapshot_head(rank_mass, top_k, all_equal):
     scores, ranking = snapshot(state)
     head = [(ip, float(scores[state.vertex_index[ip]])) for ip in ranking[:top_k]]
     assert sample.top == head
+    # both sides rank through one function, so its order is checked on its own
+    assert ranking == [ip_of(i) for i in sorted(range(len(scores)), key=lambda i: (-scores[i], i))]
 
 
 @PROPERTY_SETTINGS
