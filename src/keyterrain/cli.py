@@ -12,7 +12,9 @@ from pathlib import Path
 # Building the parser and running prepare need only these two modules. The
 # other commands import the numpy-backed modules they use inside their own
 # functions, so prepare never loads numpy.
-from .constants import DEFAULT_DAMPING, HEURISTICS, LearnConfig, StreamConfig
+from .constants import (
+    DEFAULT_DAMPING, DEFAULT_MAX_ITERS, DEFAULT_TOLERANCE, HEURISTICS, LearnConfig, StreamConfig,
+)
 from .flows import ParseStats, dedupe_flows, parse_flow_rows, sort_flows, write_flows
 
 
@@ -97,11 +99,10 @@ def cmd_prepare(args) -> int:
 def _learning_inputs(args):
     """Front end of learn and baseline: check the graph options, load the
     labels, then build the learning graph from the whole flow file."""
-    from .graph import check_fraction, read_learning_graph
+    from .graph import check_fraction, check_split, read_learning_graph
     from .labels import AddressSet
 
-    if not 0.0 < args.learn_split <= 1.0:
-        raise ValueError(f"--learn-split must be in (0, 1], got {args.learn_split}")
+    check_split(args.learn_split)
     check_fraction(args.pair_fraction)
     labels = AddressSet.from_file(args.labels)
     with open(args.flows, encoding="utf-8", newline="") as fh:
@@ -172,7 +173,7 @@ def cmd_stream(args) -> int:
         raise ValueError("give exactly one of --factors and --default-factors")
     table = DampingTable() if args.default_factors else load_damping_table(args.factors)
     settings = _effective_config(
-        args, factors="(default 0.85)" if args.default_factors else args.factors
+        args, factors=f"(default {DEFAULT_DAMPING})" if args.default_factors else args.factors
     )
     labels = AddressSet.from_file(args.labels) if args.labels else None
     local = AddressSet.from_file(args.local_prefixes) if args.local_prefixes else None
@@ -232,18 +233,12 @@ def cmd_stream(args) -> int:
 def cmd_baseline(args) -> int:
     from .metrics import mask_f1, write_run_summary
     from .pagerank import (
-        DampingTable,
-        check_damping,
-        check_stop_rule,
-        classify,
-        contraction_bound,
-        run_adjusted_to_convergence,
+        DampingTable, check_stop_rule, classify, contraction_bound, run_adjusted_to_convergence,
         run_to_convergence,
     )
 
     settings = _effective_config(args)
     check_stop_rule(args.tolerance, args.max_iterations)
-    check_damping(args.damping)
     uniform = DampingTable({}, default_factor=args.damping)
     labels, graph, info = _learning_inputs(args)
     print(f"learning graph: {info['vertices']} vertices, {info['edges']} edges")
@@ -333,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream_p.add_argument(
         "--default-factors",
         action="store_true",
-        help="run the baseline with every lookup resolving to 0.85",
+        help=f"run the baseline with every lookup resolving to {DEFAULT_DAMPING}",
     )
     stream_p.add_argument("--labels", help="optional critical IPs/CIDRs for F1 samples")
     stream_p.add_argument("--local-prefixes", help="optional local network CIDRs")
@@ -349,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     baseline.add_argument("--out", help="optional output directory for baseline.json")
     baseline.add_argument("--damping", type=float, default=DEFAULT_DAMPING)
-    baseline.add_argument("--tolerance", type=float, default=1e-9)
-    baseline.add_argument("--max-iterations", type=int, default=100)
+    baseline.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    baseline.add_argument("--max-iterations", type=int, default=DEFAULT_MAX_ITERS)
     baseline.set_defaults(func=cmd_baseline)
 
     return parser

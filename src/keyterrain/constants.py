@@ -1,14 +1,23 @@
-"""Values shared by the numpy-backed modules and the CLI's argument parser,
-the learner's and the stream's config classes among them: their fields are
-the parser's defaults. They live apart so that building the parser imports
-no numpy; ``pagerank``, ``learning`` and ``streaming`` re-export them.
+"""Values shared by the numpy-backed modules and the CLI's argument parser:
+the default damping factor, the convergence stop rule (L1 tolerance 1e-9, at
+most 100 steps), and the learner's and the stream's config classes, whose
+fields are the parser's defaults. They live apart so that building the parser
+imports no numpy; ``pagerank``, ``learning`` and ``streaming`` re-export them.
 """
 
 from dataclasses import dataclass
 
 DEFAULT_DAMPING = 0.85
+DEFAULT_TOLERANCE = 1e-9
+DEFAULT_MAX_ITERS = 100
 
 HEURISTICS = ("minimum", "maximum", "average", "smallest_difference")
+
+
+def check_grid_step(step: float) -> None:
+    """Reject a factor grid step outside (0, 1]."""
+    if not 0.0 < step <= 1.0:
+        raise ValueError(f"grid_step out of (0, 1]: {step}")
 
 
 @dataclass
@@ -24,8 +33,7 @@ class LearnConfig:
             raise ValueError(f"unknown heuristic {self.heuristic!r}; use one of {HEURISTICS}")
         if not 0.0 <= self.rw_probability <= 1.0:
             raise ValueError(f"rw_probability out of [0, 1]: {self.rw_probability}")
-        if not 0.0 < self.grid_step <= 1.0:
-            raise ValueError(f"grid_step out of (0, 1]: {self.grid_step}")
+        check_grid_step(self.grid_step)
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be non-negative")
 

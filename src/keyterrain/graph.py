@@ -34,6 +34,12 @@ def count_port_pairs(records: Iterable[FlowRow]) -> PortPairCensus:
     )
 
 
+def check_split(split: float) -> None:
+    """Reject a learn split, the share of the flow file learned on, outside (0, 1]."""
+    if not 0.0 < split <= 1.0:
+        raise ValueError(f"--learn-split must be in (0, 1], got {split}")
+
+
 def check_fraction(fraction: float) -> None:
     """Reject a port-pair retention fraction outside [0, 1]."""
     if not 0.0 <= fraction <= 1.0:
@@ -42,12 +48,12 @@ def check_fraction(fraction: float) -> None:
 
 def _retained(counts, total_flows: int, fraction: float) -> np.ndarray:
     """The retention rule: which pair ``counts`` exceed ``fraction`` of all flows."""
-    check_fraction(fraction)
     return np.asarray(counts, dtype=np.int64) > fraction * total_flows
 
 
 def filter_port_pairs(census: PortPairCensus, fraction: float) -> set[PortPair]:
     """Port pairs occurring in strictly more than ``fraction`` of all flows."""
+    check_fraction(fraction)
     keep = _retained(list(census.counts.values()), census.total_flows, fraction)
     return set(compress(census.counts, keep))
 
@@ -310,11 +316,14 @@ def read_learning_graph(fh: IO[str], split: float, fraction: float) -> tuple[Sta
     ``fraction`` of the deduplicated flows; and an ``info`` dict of its row
     and graph counts. The one entry from flows to the learning graph.
 
-    The whole file is read by ``flow_columns``, so a malformed row anywhere
-    fails the call. The result equals ``build_static_graph`` over
-    ``dedupe_flows`` of the prefix with the pairs ``filter_port_pairs``
-    retains from its census.
+    A split outside (0, 1] or a fraction outside [0, 1] is rejected before
+    a row is read. The whole file is then read by ``flow_columns``, so a
+    malformed row anywhere fails the call. The result equals
+    ``build_static_graph`` over ``dedupe_flows`` of the prefix with the
+    pairs ``filter_port_pairs`` retains from its census.
     """
+    check_split(split)
+    check_fraction(fraction)
     ips, edges, info = _learning_edges(fh, split, fraction)
     graph = _graph_from_edges(ips, *edges)
     info["vertices"] = graph.n

@@ -11,21 +11,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import count, takewhile
 
 import numpy as np
 
-from .constants import HEURISTICS, LearnConfig
+from .constants import DEFAULT_DAMPING, HEURISTICS, LearnConfig, check_grid_step
 from .flows import PortPair
 from .graph import StaticGraph
 from .labels import AddressSet
 from .metrics import mask_f1
-from .pagerank import (
-    DEFAULT_DAMPING,
-    DampingTable,
-    adjusted_iteration,
-    classify,
-    init_scores,
-)
+from .pagerank import DampingTable, adjusted_iteration, classify, init_scores
 
 
 @dataclass
@@ -88,18 +83,9 @@ def random_walk_step(
 
 def grid_values(step: float = LearnConfig.grid_step) -> list[float]:
     """Evenly stepped factor grid over [0, 1]; both endpoints always included."""
-    if not 0.0 < step <= 1.0:
-        raise ValueError(f"grid step out of (0, 1]: {step}")
-    values = []
-    i = 0
-    while True:
-        v = round(i * step, 10)
-        if v >= 1.0:
-            break
-        values.append(v)
-        i += 1
-    values.append(1.0)
-    return values
+    check_grid_step(step)
+    below_one = takewhile(lambda v: v < 1.0, (round(i * step, 10) for i in count()))
+    return [*below_one, 1.0]
 
 
 # Rounding slack of a grid estimate, in eps per edge term (see _affine_trial).

@@ -7,7 +7,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .constants import DEFAULT_DAMPING
+from .constants import DEFAULT_DAMPING, DEFAULT_MAX_ITERS, DEFAULT_TOLERANCE
 from .flows import PortPair, _parse_port
 from .graph import StaticGraph
 
@@ -23,11 +23,12 @@ class DampingTable:
     default_factor: float = DEFAULT_DAMPING
 
     def __post_init__(self):
-        if not 0.0 <= self.default_factor <= 1.0:
-            raise ValueError(f"default factor out of [0, 1]: {self.default_factor}")
+        check_damping(self.default_factor)
         for pair, value in self.factors.items():
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"factor for {tuple(pair)} out of [0, 1]: {value}")
+            try:
+                check_damping(value)
+            except ValueError as exc:
+                raise ValueError(f"factor for {tuple(pair)}: {exc}") from None
 
     def lookup(self, pair: PortPair) -> float:
         return self.factors.get(pair, self.default_factor)
@@ -119,7 +120,7 @@ def _check_prev(graph: StaticGraph, prev: np.ndarray) -> np.ndarray:
 
 
 def check_damping(damping: float) -> None:
-    """Reject a shared damping factor outside [0, 1]."""
+    """Reject a damping factor outside [0, 1]: the one statement of that rule."""
     if not 0.0 <= damping <= 1.0:
         raise ValueError(f"damping out of [0, 1]: {damping}")
 
@@ -191,8 +192,8 @@ def _converge(graph: StaticGraph, step, tolerance: float, max_iters: int) -> Con
 def run_to_convergence(
     graph: StaticGraph,
     damping: float = DEFAULT_DAMPING,
-    tolerance: float = 1e-9,
-    max_iters: int = 100,
+    tolerance: float = DEFAULT_TOLERANCE,
+    max_iters: int = DEFAULT_MAX_ITERS,
 ) -> ConvergenceResult:
     """Iterate default_iteration from the uniform vector until the L1 change
     drops below ``tolerance`` or ``max_iters`` is reached.
@@ -227,8 +228,8 @@ def _linear_part(graph: StaticGraph, table: DampingTable):
 def run_adjusted_to_convergence(
     graph: StaticGraph,
     table: DampingTable,
-    tolerance: float = 1e-9,
-    max_iters: int = 100,
+    tolerance: float = DEFAULT_TOLERANCE,
+    max_iters: int = DEFAULT_MAX_ITERS,
 ) -> ConvergenceResult:
     """Fixed point of the per-edge-factor iteration, by contracting half steps
     x -> (x + adjusted_iteration(x)) / 2 under the same stop rule.

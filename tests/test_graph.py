@@ -408,6 +408,25 @@ def test_empty_prefix_or_no_retained_pair_is_an_error(split, fraction):
         read_learning_graph(flow_file(ON_THRESHOLD), split, fraction)
 
 
+FIFTY_ROWS = [flow(f"10.0.0.{i % 7}", f"10.0.1.{i % 5}", 80, 443, i) for i in range(50)]
+
+
+@pytest.mark.parametrize(
+    "split, fraction, message",
+    [pytest.param(bad, 0.01, f"--learn-split must be in (0, 1], got {bad}", id=f"split {bad}")
+     for bad in (-0.5, 1.5, float("nan"), float("inf"))]
+    + [pytest.param(1.0, bad, f"fraction must be in [0, 1], got {bad}", id=f"fraction {bad}")
+       for bad in (-1.0, 1.5, float("nan"))],
+)
+def test_bad_split_or_fraction_is_rejected_before_a_row_is_read(split, fraction, message):
+    # each value once failed its own way, or only after the whole file was read
+    fh = flow_file(FIFTY_ROWS)
+    with pytest.raises(ValueError) as info:
+        read_learning_graph(fh, split, fraction)
+    assert str(info.value) == message
+    assert fh.tell() == 0
+
+
 # Field texts Python's int() and numpy's int64 reader could read differently,
 # or that the row parser rejects: padding, signs, digit separators, float
 # forms, whitespace int() strips, non-ASCII digits, a bare CR, a NUL, 2^63
