@@ -62,25 +62,22 @@ class StaticGraph:
     """Directed multigraph over IP addresses with a port pair on every edge.
 
     Edge ``e`` runs from vertex ``src[e]`` to vertex ``dst[e]`` on the port
-    pair ``(src_port[e], dst_port[e])``, given as four int columns of equal
-    length, and vertex ``i`` is the ``i``-th IP of ``vertices``. Parallel
-    edges and self-loops are kept and each one counts toward its source's
-    out-degree. Edges are stored sorted by (source, destination, pair) so
-    that per-vertex sums accumulate in ascending source order, which keeps
-    iteration results reproducible for a given platform.
+    pair of key ``pair_key[e] = (src_port << 16) | dst_port``, given as three
+    int columns of equal length, and vertex ``i`` is the ``i``-th IP of
+    ``vertices``. Parallel edges and self-loops are kept and each one counts
+    toward its source's out-degree. Edges are stored sorted by (source,
+    destination, pair) so that per-vertex sums accumulate in ascending source
+    order, which keeps iteration results reproducible for a given platform.
 
     Instances are immutable after construction and safe to share.
     """
 
-    def __init__(self, vertices: Iterable[str], src, dst, src_port, dst_port):
+    def __init__(self, vertices: Iterable[str], src, dst, pair_key):
         self.vertices: list[str] = list(vertices)
-        src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
-        pair_key = _pair_key(
-            np.asarray(src_port, dtype=np.int64), np.asarray(dst_port, dtype=np.int64)
-        )
+        src, dst, pair_key = (np.asarray(c, dtype=np.int64) for c in (src, dst, pair_key))
         order = np.lexsort((pair_key, dst, src))
         keys, pair_id = np.unique(pair_key[order], return_inverse=True)
-        self.pairs: list[PortPair] = [PortPair(int(k) >> 16, int(k) & 0xFFFF) for k in keys]
+        self.pairs: list[PortPair] = [PortPair(k >> 16, k & 0xFFFF) for k in keys.tolist()]
         self.edge_src = src[order]
         self.edge_dst = dst[order]
         self.edge_pair_id = pair_id.astype(np.int64)
@@ -98,8 +95,14 @@ class StaticGraph:
         return len(self.edge_src)
 
 
-def _pair_key(src_port: np.ndarray, dst_port: np.ndarray) -> np.ndarray:
-    # ports are 16-bit, so this key orders pairs as (src_port, dst_port) does
+def _pair_key(src_port, dst_port):
+    """The key ``(src_port << 16) | dst_port`` of a port pair, or of each pair
+    of two int64 arrays: the one packing of ports, which orders pairs as
+    ``(src_port, dst_port)`` does. Raises ValueError unless every port is in
+    0..65535."""
+    # a port in 0..65535 has no bit set above the 16th, and no sign bit
+    if np.any((src_port | dst_port) >> 16):
+        raise ValueError("port out of range")
     return (src_port << 16) | dst_port
 
 
@@ -134,15 +137,18 @@ def _plain(text: str) -> bool:
 
 
 # A checked block: its source and destination IPs, each named as the reader's
-# caller names it, and its structured rows
-_Block = tuple[list, list, np.ndarray]
+# caller names it, its port pair keys and its structured rows
+_Block = tuple[list, list, np.ndarray, np.ndarray]
 
 
 def _checked(rows: np.ndarray, name) -> _Block:
-    """A structured block with its IP texts named by ``name``, which raises
-    ValueError on a text that is no IP address."""
+    """A structured block as four parts: its source and destination IP texts
+    named by ``name``, which raises ValueError on a text that is no IP
+    address, its int64 port pair keys, and the rows. A port outside 0..65535
+    raises ValueError before any IP is named."""
+    key = _pair_key(rows["src_port"], rows["dst_port"])
     src, dst = (list(map(name, rows[field].tolist())) for field in ("src_ip", "dst_ip"))
-    return src, dst, rows
+    return src, dst, key, rows
 
 
 def _plain_blocks(fh: IO[str], ips: dict) -> Iterator[_Block]:
@@ -172,9 +178,6 @@ def _plain_blocks(fh: IO[str], ips: dict) -> Iterator[_Block]:
                 block.split("\n"), delimiter=",", dtype=dtype, comments=None, quotechar=None,
                 ndmin=1,
             )
-        # a port in 0..65535 has no bit set above the 16th, and no sign bit
-        if ((rows["src_port"] | rows["dst_port"]) >> 16).any():
-            raise ValueError("port out of range")
         if (rows["start_ts"] > rows["end_ts"]).any():
             raise ValueError("start_ts after end_ts")
         yield _checked(rows, ips.__getitem__)
@@ -190,21 +193,23 @@ def _row_blocks(rows: Iterable[FlowRow], name) -> Iterator[_Block]:
 
 
 def _columns(blocks: Iterable[_Block]) -> list[np.ndarray]:
-    """Drain blocks whose IPs are looked up as ids into five int64 columns:
-    source id, destination id, source port, destination port and start_ts."""
-    src, dst, src_port, dst_port, start = (array("q") for _ in range(5))
-    for src_ids, dst_ids, rows in blocks:
+    """Drain blocks whose IPs are looked up as ids into four int64 columns:
+    source id, destination id, port pair key and start_ts."""
+    src, dst, key, start = (array("q") for _ in range(4))
+    for src_ids, dst_ids, keys, rows in blocks:
         src.extend(src_ids)
         dst.extend(dst_ids)
-        for column, name in ((src_port, "src_port"), (dst_port, "dst_port"), (start, "start_ts")):
-            column.frombytes(rows[name].tobytes())
-    return [np.frombuffer(c, dtype=np.int64) for c in (src, dst, src_port, dst_port, start)]
+        key.frombytes(keys.tobytes())
+        start.frombytes(rows["start_ts"].tobytes())
+    return [np.frombuffer(c, dtype=np.int64) for c in (src, dst, key, start)]
 
 
 def flow_blocks(fh: IO[str], ips: _IpTable) -> Iterator[_Block]:
-    """The rows of ``parse_flow_rows(fh)`` in blocks, as ``_checked`` gives
-    them, with each IP as ``ips`` names its text; and the parser's error, if
-    it raises one, after blocks that hold a prefix of the rows before it.
+    """The rows of ``parse_flow_rows(fh)`` in blocks of four parts, as
+    ``_checked`` gives them: source IPs and destination IPs, each IP as
+    ``ips`` names its text, port pair keys and structured rows; and the
+    parser's error, if it raises one, after blocks that hold a prefix of the
+    rows before it.
 
     Plain canonical CSV, as ``write_flows`` writes it, is read in blocks of
     about 64 KB by numpy's C reader. Memory is the block being read, the one
@@ -221,7 +226,7 @@ def flow_blocks(fh: IO[str], ips: _IpTable) -> Iterator[_Block]:
     if fh.seekable():
         try:
             for block in _plain_blocks(fh, ips):
-                done += len(block[2])
+                done += len(block[3])
                 yield block
             return
         except (ValueError, OverflowError, DeprecationWarning):
@@ -239,7 +244,7 @@ def flow_columns(fh: IO[str]) -> tuple[list[str], list[np.ndarray]]:
     return list(ids), columns
 
 
-def _graph_from_edges(ips: list[str], src, dst, src_port, dst_port) -> StaticGraph:
+def _graph_from_edges(ips: list[str], src, dst, pair_key) -> StaticGraph:
     """The graph over the edges of id columns, its vertices the IPs incident to
     them in order of first appearance, a row's source before its destination."""
     if not len(src):
@@ -254,7 +259,7 @@ def _graph_from_edges(ips: list[str], src, dst, src_port, dst_port) -> StaticGra
     vertex = np.empty(len(ips), dtype=np.int64)
     vertex[ids] = np.arange(len(ids))
     vertices = [ips[i] for i in ids.tolist()]
-    return StaticGraph(vertices, vertex[src], vertex[dst], src_port, dst_port)
+    return StaticGraph(vertices, vertex[src], vertex[dst], pair_key)
 
 
 def build_static_graph(records: Iterable[FlowRow], retained: set[PortPair]) -> StaticGraph:
@@ -263,15 +268,14 @@ def build_static_graph(records: Iterable[FlowRow], retained: set[PortPair]) -> S
     ``records`` must already be deduplicated. Vertices are exactly the IPs
     incident to surviving edges, named by their canonical text as the flow
     file readers name them (``2001:DB8::1`` is ``2001:db8::1``); IP text that
-    is no address raises ValueError. An empty surviving edge set is an error
-    because nothing could be learned from it.
+    is no address and a port outside 0..65535 raise ValueError. An empty
+    surviving edge set is an error because nothing could be learned from it.
     """
     ids = defaultdict(count().__next__)
     name = _IpTable(ids.__getitem__).__getitem__
-    src, dst, src_port, dst_port, _ = _columns(_row_blocks(records, name))
-    keys = np.array([_pair_key(*pair) for pair in retained], dtype=np.int64)
-    edge = np.isin(_pair_key(src_port, dst_port), keys)
-    return _graph_from_edges(list(ids), src[edge], dst[edge], src_port[edge], dst_port[edge])
+    src, dst, key, _ = _columns(_row_blocks(records, name))
+    edge = np.isin(key, np.array([_pair_key(*pair) for pair in retained], dtype=np.int64))
+    return _graph_from_edges(list(ids), src[edge], dst[edge], key[edge])
 
 
 def _learning_edges(fh: IO[str], split: float, fraction: float):
@@ -293,12 +297,10 @@ def _learning_edges(fh: IO[str], split: float, fraction: float):
     kept = np.zeros(prefix, dtype=bool)
     kept[order[head]] = True
     del order, head, ordered
-    src, dst, src_port, dst_port, _ = (column[kept] for column in columns)
+    src, dst, key = (column[kept] for column in columns[:3])
     del columns, kept
     after_dedupe = len(src)
-    _, pair_of, counts = np.unique(
-        _pair_key(src_port, dst_port), return_inverse=True, return_counts=True
-    )
+    _, pair_of, counts = np.unique(key, return_inverse=True, return_counts=True)
     retained = _retained(counts, after_dedupe, fraction)
     edge = retained[pair_of]
     info = {
@@ -307,7 +309,7 @@ def _learning_edges(fh: IO[str], split: float, fraction: float):
         "flows_after_dedupe": after_dedupe,
         "retained_pairs": int(retained.sum()),
     }
-    return ips, (src[edge], dst[edge], src_port[edge], dst_port[edge]), info
+    return ips, (src[edge], dst[edge], key[edge]), info
 
 
 def read_learning_graph(fh: IO[str], split: float, fraction: float) -> tuple[StaticGraph, dict]:

@@ -16,7 +16,8 @@ from .graph import StaticGraph
 class DampingTable:
     """Damping factor per port pair, with a fallback for pairs never seen.
 
-    Lookup resolves the stored value first, then ``default_factor``.
+    A pair is two int ports in 0..65535, as a flow file holds them. Lookup
+    resolves the stored value first, then ``default_factor``.
     """
 
     factors: dict[PortPair, float] = field(default_factory=dict)
@@ -25,6 +26,11 @@ class DampingTable:
     def __post_init__(self):
         check_damping(self.default_factor)
         for pair, value in self.factors.items():
+            # plain Python: with_factor checks the whole table on every commit
+            src_port, dst_port = pair
+            if not (type(src_port) is type(dst_port) is int
+                    and 0 <= src_port <= 65535 and 0 <= dst_port <= 65535):
+                raise ValueError(f"port pair {tuple(pair)}: ports must be ints in 0..65535")
             try:
                 check_damping(value)
             except ValueError as exc:

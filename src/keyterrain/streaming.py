@@ -158,25 +158,16 @@ def _row_chunks(flows: Iterable[FlowRow], table: DampingTable) -> Iterator[_Chun
         yield chunk
 
 
-# 16-bit port numbers: a table pair outside them matches no flow of a file
-_PORTS = range(1 << 16)
-
-
 def _file_chunks(fh: IO[str], table: DampingTable) -> Iterator[_Chunk]:
     """The flows of the flow file ``fh``, one chunk per block of
     ``flow_blocks``, with IPs named by their canonical text. A block's
     factors are found at once: its port pair keys are searched among the
     table's, sorted, and a key that is not there gets the default."""
-    pairs = sorted(
-        (_pair_key(int(src_port), int(dst_port)), value)
-        for (src_port, dst_port), value in table.factors.items()
-        if src_port in _PORTS and dst_port in _PORTS
-    )
+    pairs = sorted((_pair_key(*pair), value) for pair, value in table.factors.items())
     # a last key above every port pair key keeps each search position in range
-    keys = np.array([key for key, _ in pairs] + [1 << 32], dtype=np.int64)
+    keys = np.array([key for key, _ in pairs] + [np.iinfo(np.int64).max], dtype=np.int64)
     values = np.array([value for _, value in pairs] + [table.default_factor], dtype=float)
-    for src_ips, dst_ips, rows in flow_blocks(fh, _IpTable()):
-        key = _pair_key(rows["src_port"], rows["dst_port"])
+    for src_ips, dst_ips, key, _ in flow_blocks(fh, _IpTable()):
         at = keys.searchsorted(key)
         yield src_ips, dst_ips, np.where(keys[at] == key, values[at], values[-1]).tolist()
 

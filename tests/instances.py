@@ -437,7 +437,7 @@ def learning_graph_by_rows(rows, split, fraction):
         if (src_port, dst_port) in retained:
             src = ids.setdefault(src_ip, len(ids))
             dst = ids.setdefault(dst_ip, len(ids))
-            edges.append((src, dst, src_port, dst_port))
+            edges.append((src, dst, (src_port << 16) | dst_port))
     if not edges:
         raise GraphBuildError(
             "no flows carry a retained port pair; the learning graph would be empty"

@@ -376,6 +376,15 @@ def test_build_names_vertices_by_canonical_ip():
         build_static_graph([flow("x", "10.0.0.1", 5, 6)], {PortPair(5, 6)})
 
 
+@pytest.mark.parametrize("src_port, dst_port", [(0, 65616), (-1, 80)])
+def test_a_port_outside_16_bits_is_rejected_not_aliased(src_port, dst_port):
+    # (0, 65616) would pack to the key of (1, 80), and -1 would set the sign bit
+    row = ("10.0.0.1", "10.0.0.2", src_port, dst_port, 1, 1)
+    for retained in ({PortPair(1, 80)}, {PortPair(src_port, dst_port)}):
+        with pytest.raises(ValueError, match="^port out of range$"):
+            build_static_graph([row], retained)
+
+
 # a key with a start of 0 and starts beyond int64, as flow file text
 PAST_INT64 = "start_ts,end_ts,src_ip,dst_ip,src_port,dst_port\n" + "".join(
     f"{start},{end},10.0.0.1,10.0.0.2,80,443\n"
@@ -532,7 +541,7 @@ def test_flow_file_reader_matches_row_parser(text, block, split, fraction):
 
 def block_rows(fh):
     """The rows of ``flow_blocks(fh, _IpTable())``, rebuilt from its blocks."""
-    for src_ips, dst_ips, rows in flow_blocks(fh, flows_module._IpTable()):
+    for src_ips, dst_ips, _, rows in flow_blocks(fh, flows_module._IpTable()):
         ports_and_times = (rows[name].tolist() for name in FlowRecord._fields[2:])
         yield from zip(src_ips, dst_ips, *ports_and_times)
 
@@ -658,7 +667,7 @@ def test_plain_blocks_stop_at_a_bad_ip_before_its_block(monkeypatch):
             "5,6,10.0.0.3,nope,1,2", "7,8,10.0.0.1,10.0.0.3,1,2"]
     text = io.StringIO(CANONICAL_HEADER + "\n".join(rows) + "\n")
     blocks = graph_module._plain_blocks(text, flows_module._IpTable())
-    assert [(src, dst, len(block)) for src, dst, block in islice(blocks, 2)] == [
+    assert [(src, dst, len(block)) for src, dst, _, block in islice(blocks, 2)] == [
         (["10.0.0.1"], ["10.0.0.2"], 1), (["10.0.0.2"], ["10.0.0.1"], 1)
     ]
     with pytest.raises(ValueError, match="^bad IP address 'nope'$"):

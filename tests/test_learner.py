@@ -102,7 +102,7 @@ class TestChooseConflictPortPair:
     def test_edgeless_graph_is_an_error(self):
         with pytest.raises(ValueError, match="no edges"):
             choose_conflict_port_pair(
-                StaticGraph(["10.0.0.1"], [], [], [], []), np.ones(1, dtype=bool), random.Random(0)
+                StaticGraph(["10.0.0.1"], [], [], []), np.ones(1, dtype=bool), random.Random(0)
             )
 
     def test_mask_length_must_match_vertices(self):

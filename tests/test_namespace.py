@@ -263,3 +263,26 @@ def test_no_package_code_reaches_blas():
                   and isinstance(node.op, ast.MatMult)]
         found += [f"{path.name} {name}" for name in sorted(names_used(path) & BLAS_NAMES)]
     assert found == []
+
+
+# the shift and the mask that pack a port pair into its key or unpack it
+PORT_PACKING = {ast.LShift: 16, ast.RShift: 16, ast.BitAnd: 0xFFFF}
+
+
+def test_only_graph_packs_port_pairs():
+    # graph._pair_key is the one packing of a port pair into its int64 key,
+    # and StaticGraph the one place that unpacks it
+    found = []
+    for path in sorted((SRC / "keyterrain").glob("*.py")):
+        if path.name == "graph.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.BinOp, ast.AugAssign)) or (
+                type(node.op) not in PORT_PACKING
+            ):
+                continue
+            operands = (node.left, node.right) if isinstance(node, ast.BinOp) else (node.value,)
+            if any(isinstance(o, ast.Constant) and o.value == PORT_PACKING[type(node.op)]
+                   for o in operands):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -80,7 +80,7 @@ class TestInitScores:
 
     def test_empty_graph(self):
         with pytest.raises(ValueError):
-            init_scores(StaticGraph([], [], [], [], []))
+            init_scores(StaticGraph([], [], [], []))
 
 
 class TestDefaultIteration:
@@ -150,7 +150,7 @@ class TestAdjustedIteration:
         assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_edgeless_graph_gives_uniform(self):
-        graph = StaticGraph(["10.0.0.1", "10.0.0.2"], [], [], [], [])
+        graph = StaticGraph(["10.0.0.1", "10.0.0.2"], [], [], [])
         factors = edge_factor_values(graph, DampingTable())
         assert factors.dtype == float and factors.shape == (0,)
         out = adjusted_iteration(graph, np.array([0.7, 0.3]), DampingTable())
@@ -344,7 +344,7 @@ class TestConvergence:
             u, v = rng.randrange(300), 0 if rng.random() < 0.5 else rng.randrange(300)
             if rng.random() < 0.5:
                 u, v = v, u
-            rows.append((u, v, rng.choice(PORT_POOL), rng.choice(PORT_POOL)))
+            rows.append((u, v, (rng.choice(PORT_POOL) << 16) | rng.choice(PORT_POOL)))
         graph = StaticGraph([ip_of(i) for i in range(300)], *zip(*rows))
         result = run_adjusted_to_convergence(graph, DampingTable(), 1e-15, max_iters=50)
         assert result.converged

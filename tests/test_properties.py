@@ -2,6 +2,7 @@
 against direct oracles, the stream sampler against a full ranking, and the
 contraction and mass conservation of the adjusted steps."""
 
+import io
 import math
 import random
 from array import array
@@ -24,7 +25,9 @@ from keyterrain.pagerank import (
     adjusted_iteration,
     contraction_bound,
     init_scores,
+    read_damping_table,
     run_adjusted_to_convergence,
+    write_damping_table,
 )
 from keyterrain.streaming import StreamConfig, StreamState, run_stream, snapshot
 
@@ -386,3 +389,17 @@ def test_stream_over_rows_equals_stream_over_records(flows, labeled, interval, f
     assert by_rows.rank_mass == by_records.rank_mass
     assert by_rows.active_mass == by_records.active_mass
     assert by_rows.flows_processed == by_records.flows_processed == len(flows)
+
+
+ports = st.integers(min_value=0, max_value=65535)
+factors_in_range = st.floats(min_value=0.0, max_value=1.0)
+
+
+@PROPERTY_SETTINGS
+@given(factors=st.dictionaries(st.tuples(ports, ports), factors_in_range), default=factors_in_range)
+def test_damping_table_file_round_trips(factors, default):
+    table = DampingTable(factors, default)
+    buf = io.StringIO()
+    write_damping_table(table, buf)
+    buf.seek(0)
+    assert read_damping_table(buf) == table

@@ -2,6 +2,7 @@
 
 import io
 import random
+import re
 from array import array
 
 import numpy as np
@@ -228,21 +229,18 @@ class TestRunStream:
         assert state.vertices == expected.vertices
 
 
-    def test_a_file_matches_no_pair_outside_the_port_range(self):
-        # a block's pair key is (src_port << 16) | dst_port, so the first pair
-        # would alias (1, 80) if it were searched; a float port that equals
-        # an int one matches, as it does in a dict
-        rows = [("10.0.0.1", "10.0.0.2", 1, 80, 0, 0), ("10.0.0.2", "10.0.0.1", 80, 443, 1, 1)]
-        text = "start_ts,end_ts,src_ip,dst_ip,src_port,dst_port\n0,0,10.0.0.1,10.0.0.2,1,80\n"
-        text += "1,1,10.0.0.2,10.0.0.1,80,443\n"
-        table = DampingTable({(0, (1 << 16) + 80): 0.0, (-1, 80): 0.0, (80.0, 443.0): 0.3}, 0.85)
-        by_file, by_rows = StreamState(), StreamState()
-        run_stream(io.StringIO(text, newline=""), table, state=by_file)
-        run_stream(rows, table, state=by_rows)
-        assert by_file.rank_mass.tobytes() == by_rows.rank_mass.tobytes()
-        assert by_file.active_mass == by_rows.active_mass
-        # the first flow's factor is the default, the second's 0.3
-        assert by_file.rank_mass[0] == pytest.approx(0.15 + 0.3 * (0.85 * 0.5 * 0.15 + 0.7))
+    @pytest.mark.parametrize(
+        "pair", [(0, 65616), (-1, 80), (80.0, 443.0), ("80", "443")],
+        ids=["aliased", "negative", "float", "text"],
+    )
+    def test_a_table_holds_no_pair_a_flow_file_cannot(self, pair):
+        # (0, 65616) would alias (1, 80) in a block's pair key, and no flow of
+        # a file has a float or text port, so each would match no flow
+        message = f"^port pair {re.escape(str(pair))}: ports must be ints in 0..65535$"
+        with pytest.raises(ValueError, match=message):
+            DampingTable({(22, 80): 0.3, pair: 0.5})
+        with pytest.raises(ValueError, match=message):
+            DampingTable({(22, 80): 0.3}).with_factor(pair, 0.5)
 
 
 class TestStreamConfig:
