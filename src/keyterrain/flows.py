@@ -248,6 +248,27 @@ def parse_flow_rows(
         raise FlowParseError(reader.line_num, str(exc)) from exc
 
 
+def _plain(text: str) -> bool:
+    """Whether ``text``, whole lines of a flow file, reads alike through
+    numpy's reader and the csv tokenizer: ASCII with no quote, CR or NUL, no
+    empty line (numpy skips one, csv makes it a short row), and no field the
+    tokenizer could reject as over ``csv.field_size_limit()``."""
+    return (
+        text.isascii()
+        and len(text) <= csv.field_size_limit()
+        and not text.startswith("\n")
+        and not any(part in text for part in ('"', "\r", "\0", "\n\n"))
+    )
+
+
+def _plain_names(header: str) -> list[str] | None:
+    """The stripped column names of a flow file's header line when it is
+    plain (see ``_plain``) and names the six canonical columns in some order,
+    else None."""
+    names = [name.strip() for name in header.split(",")]
+    return names if _plain(header) and sorted(names) == sorted(CANONICAL_COLUMNS) else None
+
+
 def parse_flows(
     lines: Iterable[str],
     columns: Mapping[str, str] | None = None,

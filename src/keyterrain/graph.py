@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import warnings
 from array import array
 from collections import Counter, defaultdict
@@ -13,7 +12,7 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .flows import CANONICAL_COLUMNS, FlowRecord, FlowRow, PortPair, _IpTable, parse_flow_rows
+from .flows import FlowRecord, FlowRow, PortPair, _IpTable, _plain, _plain_names, parse_flow_rows
 
 
 class GraphBuildError(ValueError):
@@ -64,10 +63,11 @@ class StaticGraph:
     Edge ``e`` runs from vertex ``src[e]`` to vertex ``dst[e]`` on the port
     pair of key ``pair_key[e] = (src_port << 16) | dst_port``, given as three
     int columns of equal length, and vertex ``i`` is the ``i``-th IP of
-    ``vertices``. Parallel edges and self-loops are kept and each one counts
-    toward its source's out-degree. Edges are stored sorted by (source,
-    destination, pair) so that per-vertex sums accumulate in ascending source
-    order, which keeps iteration results reproducible for a given platform.
+    ``vertices``. A key outside 0..2^32-1 raises ValueError. Parallel edges
+    and self-loops are kept and each one counts toward its source's
+    out-degree. Edges are stored sorted by (source, destination, pair) so that
+    per-vertex sums accumulate in ascending source order, which keeps
+    iteration results reproducible for a given platform.
 
     Instances are immutable after construction and safe to share.
     """
@@ -75,9 +75,12 @@ class StaticGraph:
     def __init__(self, vertices: Iterable[str], src, dst, pair_key):
         self.vertices: list[str] = list(vertices)
         src, dst, pair_key = (np.asarray(c, dtype=np.int64) for c in (src, dst, pair_key))
+        # a key of two 16-bit ports has no bit set above the 32nd, and no sign bit
+        if np.any(pair_key >> 32):
+            raise ValueError("port pair key out of range")
         order = np.lexsort((pair_key, dst, src))
         keys, pair_id = np.unique(pair_key[order], return_inverse=True)
-        self.pairs: list[PortPair] = [PortPair(k >> 16, k & 0xFFFF) for k in keys.tolist()]
+        self.pairs: list[PortPair] = [PortPair(*_ports(k)) for k in keys.tolist()]
         self.edge_src = src[order]
         self.edge_dst = dst[order]
         self.edge_pair_id = pair_id.astype(np.int64)
@@ -106,6 +109,12 @@ def _pair_key(src_port, dst_port):
     return (src_port << 16) | dst_port
 
 
+def _ports(pair_key):
+    """The source and destination port of a ``_pair_key``, or the two port
+    arrays of an array of keys."""
+    return pair_key >> 16, pair_key & 0xFFFF
+
+
 # Characters of text to read a block at a time, before the cut at the next line
 # end. A block's structured array and IP strings are a few hundred KB, so
 # larger blocks would raise the peak memory of a read.
@@ -121,19 +130,6 @@ def _dtype(names) -> np.dtype:
 
 
 _ROW_DTYPE = _dtype(FlowRecord._fields)
-
-
-def _plain(text: str) -> bool:
-    """Whether ``text``, whole lines of a flow file, reads alike through
-    numpy's reader and the csv tokenizer: ASCII with no quote, CR or NUL, no
-    empty line (numpy skips one, csv makes it a short row), and no field the
-    tokenizer could reject as over ``csv.field_size_limit()``."""
-    return (
-        text.isascii()
-        and len(text) <= csv.field_size_limit()
-        and not text.startswith("\n")
-        and not any(part in text for part in ('"', "\r", "\0", "\n\n"))
-    )
 
 
 # A checked block: its source and destination IPs, each named as the reader's
@@ -159,9 +155,8 @@ def _plain_blocks(fh: IO[str], ips: dict) -> Iterator[_Block]:
     ValueError, OverflowError or DeprecationWarning on a row numpy cannot
     read or the row parser would reject; the messages are not the row
     parser's."""
-    header = fh.readline()
-    names = [name.strip() for name in header.split(",")]
-    if not _plain(header) or sorted(names) != sorted(CANONICAL_COLUMNS):
+    names = _plain_names(fh.readline())
+    if names is None:
         raise ValueError("not the canonical header")
     dtype = _dtype(names)
     while block := fh.read(_BLOCK):
@@ -192,16 +187,22 @@ def _row_blocks(rows: Iterable[FlowRow], name) -> Iterator[_Block]:
         yield _checked(np.array(batch, dtype=_ROW_DTYPE), name)
 
 
-def _columns(blocks: Iterable[_Block]) -> list[np.ndarray]:
-    """Drain blocks whose IPs are looked up as ids into four int64 columns:
-    source id, destination id, port pair key and start_ts."""
-    src, dst, key, start = (array("q") for _ in range(4))
+def _columns(blocks: Iterable[_Block], types="qqqq", times=("start_ts",)) -> list[np.ndarray]:
+    """Drain blocks whose IPs are looked up as ids into columns of the array
+    typecodes ``types``, which numpy reads as the same C types: source id,
+    destination id, port pair key and each field of ``times``."""
+    src, dst, *rest = columns = [array(code) for code in types]
     for src_ids, dst_ids, keys, rows in blocks:
         src.extend(src_ids)
         dst.extend(dst_ids)
-        key.frombytes(keys.tobytes())
-        start.frombytes(rows["start_ts"].tobytes())
-    return [np.frombuffer(c, dtype=np.int64) for c in (src, dst, key, start)]
+        for column, values in zip(rest, (keys, *(rows[name] for name in times))):
+            column.frombytes(values.astype(column.typecode, copy=False).tobytes())
+    return [np.frombuffer(c, dtype=c.typecode) for c in columns]
+
+
+# What numpy's reader raises on a file or row it cannot read as the row parser
+# would; _plain_blocks says when
+_NOT_PLAIN = (ValueError, OverflowError, DeprecationWarning)
 
 
 def flow_blocks(fh: IO[str], ips: _IpTable) -> Iterator[_Block]:
@@ -229,7 +230,7 @@ def flow_blocks(fh: IO[str], ips: _IpTable) -> Iterator[_Block]:
                 done += len(block[3])
                 yield block
             return
-        except (ValueError, OverflowError, DeprecationWarning):
+        except _NOT_PLAIN:
             fh.seek(0)
     yield from _row_blocks(islice(parse_flow_rows(fh), done, None), ips.keep)
 
@@ -242,6 +243,55 @@ def flow_columns(fh: IO[str]) -> tuple[list[str], list[np.ndarray]]:
     ids = defaultdict(count().__next__)
     columns = _columns(flow_blocks(fh, _IpTable(ids.__getitem__)))
     return list(ids), columns
+
+
+def prepared_rows(fh: IO[str], sort: str) -> tuple[int, Iterator[FlowRow]] | None:
+    """The number of rows of the plain canonical flow file ``fh``, and the
+    rows ``prepare --dedupe --sort <sort>`` writes from them; or None, with
+    ``fh`` back at its start, at the first block ``_plain_blocks`` rejects, so
+    that the row parser reads the file and words every error.
+
+    The rows are the first of each dedupe key, in input order (``sort``
+    "none") or stably sorted by start_ts ("start"); with "end", the rows are
+    stably sorted by end_ts first, so the kept row of a key is its
+    earliest-ending one. The whole file is read before the first row is
+    given, into five narrow columns: int32 IP ids, the uint32 port pair key
+    and int64 start_ts and end_ts, 28 bytes a row, plus one entry per
+    distinct IP text. The IP text is canonical, so no field needs quoting.
+    """
+    ids = defaultdict(count().__next__)
+    blocks = _plain_blocks(fh, _IpTable(ids.__getitem__))
+    try:
+        columns = _columns(blocks, "iiIqq", ("start_ts", "end_ts"))
+    except _NOT_PLAIN:
+        fh.seek(0)
+        return None
+    if sort == "end":
+        order = np.argsort(columns[4], kind="stable")
+        # in place, so that each column is freed once its sorted copy is made
+        for i, column in enumerate(columns):
+            columns[i] = column[order]
+    kept = np.flatnonzero(_first_rows(columns[:4]))
+    if sort == "start":
+        kept = kept[np.argsort(columns[3][kept], kind="stable")]
+    return len(columns[0]), _sliced_rows(list(ids), [column[kept] for column in columns])
+
+
+# Rows per slice of _sliced_rows: one slice's Python objects are alive at a time
+_SLICE = 1 << 14
+
+
+def _sliced_rows(ips: list[str], columns: list[np.ndarray]) -> Iterator[FlowRow]:
+    """The rows of the columns of ``prepared_rows``, with each IP id named by
+    ``ips``, converted to Python values ``_SLICE`` rows at a time."""
+    src, dst, key, start, end = columns
+    for at in range(0, len(src), _SLICE):
+        part = slice(at, at + _SLICE)
+        src_port, dst_port = _ports(key[part])
+        yield from zip(
+            [ips[i] for i in src[part].tolist()], [ips[i] for i in dst[part].tolist()],
+            src_port.tolist(), dst_port.tolist(), start[part].tolist(), end[part].tolist(),
+        )
 
 
 def _graph_from_edges(ips: list[str], src, dst, pair_key) -> StaticGraph:
@@ -278,6 +328,23 @@ def build_static_graph(records: Iterable[FlowRow], retained: set[PortPair]) -> S
     return _graph_from_edges(list(ids), src[edge], dst[edge], key[edge])
 
 
+def _first_rows(columns: list[np.ndarray]) -> np.ndarray:
+    """The keep-first dedupe: a mask of the rows that are the first of their
+    key, the tuple of their values across ``columns``."""
+    # the stable sort leaves each key's first row at the head of its run of
+    # equal keys
+    order = np.lexsort(columns[::-1])
+    head = np.zeros(len(order), dtype=bool)
+    head[:1] = True
+    for column in columns:
+        ordered = column[order]
+        head[1:] |= ordered[1:] != ordered[:-1]
+        del ordered  # before the next column's copy
+    kept = np.zeros(len(order), dtype=bool)
+    kept[order[head]] = True
+    return kept
+
+
 def _learning_edges(fh: IO[str], split: float, fraction: float):
     """The edge columns of the learning graph over ``flow_columns(fh)`` and
     its ``info`` without the graph counts; the row columns are freed on
@@ -286,17 +353,7 @@ def _learning_edges(fh: IO[str], split: float, fraction: float):
     total = len(columns[0])
     prefix = int(total * split)
     columns = [column[:prefix] for column in columns]
-    # keep-first dedupe: the stable sort leaves each key's first row at the
-    # head of its run of equal keys
-    order = np.lexsort(columns[::-1])
-    head = np.zeros(prefix, dtype=bool)
-    head[:1] = True
-    for column in columns:
-        ordered = column[order]
-        head[1:] |= ordered[1:] != ordered[:-1]
-    kept = np.zeros(prefix, dtype=bool)
-    kept[order[head]] = True
-    del order, head, ordered
+    kept = _first_rows(columns)
     src, dst, key = (column[kept] for column in columns[:3])
     del columns, kept
     after_dedupe = len(src)

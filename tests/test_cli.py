@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from keyterrain import cli as cli_module
 from keyterrain import graph as graph_module
 from keyterrain.cli import build_parser, main
 from keyterrain.flows import (
@@ -980,6 +981,9 @@ PLAIN_ROWS = [
 
 
 def flow_command(command, flows_path, labels_path, out):
+    if command == "prepare":
+        return [command, "--flows", str(flows_path), "--out", str(out), "--sort", "start",
+                "--dedupe"]
     args = [command, "--flows", str(flows_path), "--labels", str(labels_path), "--out", str(out)]
     if command == "stream":
         return args + ["--default-factors", "--sample-interval", "1000"]
@@ -1003,21 +1007,31 @@ def labels_path(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("command", ["learn", "baseline", "stream"])
-@pytest.mark.parametrize(
-    "bad_row, message",
-    [
-        ("9,9,10.0.0.3,not-an-ip,1,2", "bad IP address 'not-an-ip'"),
-        ("9,8,10.0.0.3,10.0.0.4,1,2", "start_ts 9 after end_ts 8"),
-        ("9,9,10.0.0.3,10.0.0.4,1,65536", "port out of range: 65536"),
-    ],
-)
-def test_row_error_past_the_first_block_is_worded_by_the_row_parser(
-    tmp_path, capsys, labels_path, command, bad_row, message
-):
-    flows_path = tmp_path / "flows.csv"
+@pytest.fixture
+def block_read_floor_0(monkeypatch):
+    """prepare --dedupe reads a plain file of any size by blocks."""
+    monkeypatch.setattr(cli_module, "_BLOCK_READ_BYTES", 0)
+
+
+BAD_ROWS = [
+    ("9,9,10.0.0.3,not-an-ip,1,2", "bad IP address 'not-an-ip'"),
+    ("9,8,10.0.0.3,10.0.0.4,1,2", "start_ts 9 after end_ts 8"),
+    ("9,9,10.0.0.3,10.0.0.4,1,65536", "port out of range: 65536"),
+]
+
+
+def with_bad_row(flows_path, bad_row):
     flows_path.write_text(HEADER + "".join(PLAIN_ROWS[:3000]) + bad_row + "\n"
                           + "".join(PLAIN_ROWS[3000:]))
+
+
+@pytest.mark.parametrize("command", ["prepare", "learn", "baseline", "stream"])
+@pytest.mark.parametrize("bad_row, message", BAD_ROWS)
+def test_row_error_past_the_first_block_is_worded_by_the_row_parser(
+    tmp_path, capsys, labels_path, block_read_floor_0, command, bad_row, message
+):
+    flows_path = tmp_path / "flows.csv"
+    with_bad_row(flows_path, bad_row)
     expected = row_parser_error(flows_path)
     assert expected == f"error: line 3002: {message}\n"
     out = tmp_path / "out"
@@ -1026,9 +1040,33 @@ def test_row_error_past_the_first_block_is_worded_by_the_row_parser(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["learn", "baseline", "stream"])
+@pytest.mark.parametrize("bad_row, message", BAD_ROWS)
+def test_prepare_skips_a_row_past_the_first_block_as_the_row_path_does(
+    tmp_path, capsys, monkeypatch, bad_row, message
+):
+    flows_path = tmp_path / "flows.csv"
+    with_bad_row(flows_path, bad_row)
+    runs = []
+    for floor in (1 << 62, 0):
+        monkeypatch.setattr(cli_module, "_BLOCK_READ_BYTES", floor)
+        out = tmp_path / f"out-{floor}.csv"
+        args = flow_command("prepare", flows_path, None, out) + ["--on-error", "skip"]
+        assert main(args) == 0
+        stdout, stderr = capsys.readouterr()
+        # the config block names the output path
+        counts = [line for line in stdout.splitlines() if not line.startswith(("[", "  "))]
+        runs.append((counts, stderr, out.read_bytes()))
+    assert runs[0][:2] == (
+        ["rows read: 4001", "records parsed: 4000", "rows skipped: 1", "duplicates removed: 0",
+         "records written: 4000"],
+        f"  skipped line 3002: {message}\n",
+    )
+    assert runs[1] == runs[0]
+
+
+@pytest.mark.parametrize("command", ["prepare", "learn", "baseline", "stream"])
 def test_undecodable_byte_is_reported_as_line_iteration_reports_it(
-    tmp_path, capsys, labels_path, command
+    tmp_path, capsys, labels_path, block_read_floor_0, command
 ):
     flows_path = tmp_path / "flows.csv"
     bad_row = b"9,9,10.0.0.\xff,10.0.0.4,1,2\n"
@@ -1049,20 +1087,21 @@ def test_undecodable_byte_is_reported_as_line_iteration_reports_it(
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-@pytest.mark.parametrize("command", ["learn", "baseline", "stream"])
+@pytest.mark.parametrize("command", ["prepare", "learn", "baseline", "stream"])
 def test_unseekable_flow_file_is_read_by_the_row_parser(
-    tangled_files, tmp_path, monkeypatch, command
+    tangled_files, tmp_path, monkeypatch, block_read_floor_0, command
 ):
     flows_path, labels_path = tangled_files
     fifo = tmp_path / "flows.fifo"
     os.mkfifo(fifo)
     read_by_rows = []
 
-    def parse_rows(fh):
+    def parse_rows(fh, **kwargs):
         read_by_rows.append(fh.name)
-        return parse_flow_rows(fh)
+        return parse_flow_rows(fh, **kwargs)
 
     monkeypatch.setattr(graph_module, "parse_flow_rows", parse_rows)
+    monkeypatch.setattr(cli_module, "parse_flow_rows", parse_rows)
     # opening a named pipe for writing waits for its reader
     writer = threading.Thread(target=fifo.write_bytes, args=(flows_path.read_bytes(),))
     writer.start()
@@ -1073,7 +1112,10 @@ def test_unseekable_flow_file_is_read_by_the_row_parser(
     assert read_by_rows == [str(fifo)]
     assert main(flow_command(command, flows_path, labels_path, tmp_path / "file")) == 0
     assert read_by_rows == [str(fifo)]
+    if command == "prepare":
+        assert (tmp_path / "piped").read_bytes() == (tmp_path / "file").read_bytes()
     names = {
+        "prepare": [],
         "learn": ["graph_edges.csv", "factors.csv"],
         "baseline": [],
         "stream": sorted(path.name for path in (tmp_path / "file").glob("*.csv")),

@@ -3,9 +3,12 @@ flow file readers."""
 
 import io
 import random
+import tempfile
 from array import array
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import islice
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from keyterrain import cli as cli_module
 from keyterrain import flows as flows_module
 from keyterrain import graph as graph_module
 from keyterrain.flows import (
@@ -28,6 +32,7 @@ from keyterrain.flows import (
 from keyterrain.graph import (
     GraphBuildError,
     PortPairCensus,
+    StaticGraph,
     build_static_graph,
     count_port_pairs,
     filter_port_pairs,
@@ -385,6 +390,14 @@ def test_a_port_outside_16_bits_is_rejected_not_aliased(src_port, dst_port):
             build_static_graph([row], retained)
 
 
+@pytest.mark.parametrize("key", [-1, 1 << 32, 1 << 40])
+def test_a_pair_key_outside_32_bits_is_rejected_not_decoded(key):
+    # -1 would decode to PortPair(-1, 65535) and 1 << 40 to PortPair(16777216, 0)
+    with pytest.raises(ValueError, match="^port pair key out of range$"):
+        StaticGraph(["a", "b"], [0, 1], [1, 0], [key, 1])
+    assert StaticGraph(["a"], [0], [0], [(1 << 32) - 1]).pairs == [PortPair(65535, 65535)]
+
+
 # a key with a start of 0 and starts beyond int64, as flow file text
 PAST_INT64 = "start_ts,end_ts,src_ip,dst_ip,src_port,dst_port\n" + "".join(
     f"{start},{end},10.0.0.1,10.0.0.2,80,443\n"
@@ -599,6 +612,59 @@ def after_plain_blocks(line):
 @example(text="", block=1 << 16)
 def test_stream_reader_matches_row_parser(text, block):
     assert_stream_reads_as_rows(text, block)
+
+
+# plain rows with long runs of equal start_ts and of equal end_ts, and 660
+# dedupe keys whose later copies may end before the first: what a stable sort
+# keeps in order, and which copy an end sort keeps
+TIED_ROWS = CANONICAL_HEADER + "".join(
+    f"{i % 5},{i % 5 + 7 - i % 7},10.0.{i % 3}.1,10.0.{i % 11}.2,{1000 + i % 4},443\n"
+    for i in range(3000)
+)
+
+
+def prepare_file(text, args, floor, block=1 << 16):
+    """What ``prepare`` over a flow file of ``text`` gives with the block read
+    floor at ``floor`` bytes: its exit code, the count lines it prints, its
+    standard error and the bytes it writes, or None when it leaves no file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        flows_path, out = Path(tmp, "flows.csv"), Path(tmp, "out.csv")
+        with open(flows_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with mock.patch.object(cli_module, "_BLOCK_READ_BYTES", floor), \
+                mock.patch.object(graph_module, "_BLOCK", block), \
+                redirect_stdout(stdout), redirect_stderr(stderr):
+            code = cli_module.main(["prepare", "--flows", str(flows_path), "--out", str(out),
+                                    *args])
+        # the config block names the temporary paths
+        counts = [line for line in stdout.getvalue().splitlines()
+                  if not line.startswith(("[keyterrain prepare]", "  "))]
+        return code, counts, stderr.getvalue(), out.read_bytes() if out.exists() else None
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    text=flow_file_texts(),
+    block=st.sampled_from((1, 7, 64, 1 << 16)),
+    sort=st.sampled_from(("start", "end", "none")),
+    on_error=st.sampled_from(("abort", "skip")),
+)
+@example(text=PLAIN_BLOCKS + PLAIN_BLOCKS[len(CANONICAL_HEADER):], block=1 << 16, sort="end",
+         on_error="abort")
+@example(text=TIED_ROWS, block=1 << 16, sort="start", on_error="abort")
+@example(text=TIED_ROWS, block=64, sort="end", on_error="abort")
+@example(text=after_plain_blocks("9,9,10.0.0.3,nope,1,2"), block=1 << 16, sort="start",
+         on_error="skip")
+@example(text=CANONICAL_HEADER, block=1 << 16, sort="start", on_error="abort")
+@example(text="", block=1 << 16, sort="none", on_error="abort")
+def test_prepare_dedupe_by_blocks_writes_what_the_row_path_writes(text, block, sort, on_error):
+    args = ["--sort", sort, "--dedupe", "--on-error", on_error]
+    expected = prepare_file(text, args, floor=1 << 62)
+    assert len(expected[1]) == 5 or expected[0] == 1
+    if expected[0] == 1:
+        assert expected[3] is None
+    assert prepare_file(text, args, floor=0, block=block) == expected
 
 
 def stream_one_row_at_a_time(rows, table, config, labels, state):

@@ -1,4 +1,5 @@
-"""The package namespace loads lazily: prepare runs without numpy, every name stays."""
+"""The package namespace loads lazily: prepare loads numpy only for a large plain
+file with --dedupe, every name stays."""
 
 import ast
 import importlib
@@ -101,6 +102,31 @@ def test_prepare_loads_no_numpy(tmp_path):
         '1,2,"fe80::1%a,b",10.0.0.2,1,2\n'
         "3,4,10.0.0.1,10.0.0.2,1,2\n"
     )
+
+
+def test_prepare_loads_numpy_only_for_a_large_plain_file_with_dedupe(tmp_path):
+    from keyterrain.cli import _BLOCK_READ_BYTES
+
+    header = "start_ts,end_ts,src_ip,dst_ip,src_port,dst_port\n"
+    row = "1,2,10.0.0.1,10.0.0.2,1,2\n"
+    (tmp_path / "small.csv").write_text(header + row * ((_BLOCK_READ_BYTES - 100) // len(row)))
+    (tmp_path / "large.csv").write_text(header + row * (_BLOCK_READ_BYTES // len(row)))
+    assert (tmp_path / "small.csv").stat().st_size < _BLOCK_READ_BYTES
+    assert (tmp_path / "large.csv").stat().st_size >= _BLOCK_READ_BYTES
+    loads = {}
+    for flows, dedupe in [("small.csv", True), ("large.csv", False), ("large.csv", True)]:
+        out = run_python(
+            "import sys; from keyterrain.cli import main\n"
+            f"code = main(['prepare', '--flows', {flows!r}, '--out', 'out.csv', '--sort', 'end']"
+            f" + ['--dedupe'] * {dedupe})\n"
+            "print(code, 'numpy' in sys.modules)",
+            tmp_path,
+        )
+        assert out.split()[-2] == "0"
+        loads[flows, dedupe] = out.split()[-1]
+    assert loads == {
+        ("small.csv", True): "False", ("large.csv", False): "False", ("large.csv", True): "True"
+    }
 
 
 @pytest.mark.parametrize(
@@ -271,7 +297,7 @@ PORT_PACKING = {ast.LShift: 16, ast.RShift: 16, ast.BitAnd: 0xFFFF}
 
 def test_only_graph_packs_port_pairs():
     # graph._pair_key is the one packing of a port pair into its int64 key,
-    # and StaticGraph the one place that unpacks it
+    # and graph._ports the one unpacking
     found = []
     for path in sorted((SRC / "keyterrain").glob("*.py")):
         if path.name == "graph.py":
