@@ -11,8 +11,8 @@ from pathlib import Path
 
 # Building the parser and choosing prepare's reader need only these two
 # modules. Each command imports the numpy-backed modules it uses inside its own
-# function, so prepare loads numpy only to read a large plain file with
-# --dedupe (_read_by_blocks).
+# function, so prepare loads numpy only when _read_by_blocks sends a large
+# plain file with --dedupe to graph.prepared_rows.
 from .constants import (
     DEFAULT_DAMPING, DEFAULT_MAX_ITERS, DEFAULT_TOLERANCE, HEURISTICS, LearnConfig, StreamConfig,
 )
@@ -66,23 +66,19 @@ def _parse_column_mapping(text: str | None) -> dict | None:
 _BLOCK_READ_BYTES = 3 << 20
 
 
-def _read_by_blocks(src, sort: str):
-    """``graph.prepared_rows(src, sort)`` when the flow file ``src`` can seek
-    back, is at least ``_BLOCK_READ_BYTES`` long and has a plain canonical
-    header; else None, with ``src`` at its start. Numpy is loaded only for
-    such a file."""
+def _read_by_blocks(src) -> bool:
+    """Whether the flow file ``src`` can seek back, is at least
+    ``_BLOCK_READ_BYTES`` long and has a plain canonical header, which
+    ``prepare --dedupe`` then reads by blocks; ``src`` is left at its start.
+    Loads no numpy."""
     if not src.seekable() or os.fstat(src.fileno()).st_size < _BLOCK_READ_BYTES:
-        return None
+        return False
     try:
         plain = _plain_names(src.readline()) is not None
     except ValueError:  # an undecodable header is the row parser's to report
         plain = False
     src.seek(0)
-    if not plain:
-        return None
-    from .graph import prepared_rows
-
-    return prepared_rows(src, sort)
+    return plain
 
 
 def cmd_prepare(args) -> int:
@@ -95,10 +91,10 @@ def cmd_prepare(args) -> int:
     with open(args.flows, encoding="utf-8", newline="") as src:
         # without --dedupe the row path's memory is bounded, the block path's
         # never is: it holds every row
-        prepared = _read_by_blocks(src, args.sort) if args.dedupe and columns is None else None
-        if prepared is not None:
-            stats.rows, stream = prepared
-            stats.parsed = stats.rows
+        if args.dedupe and columns is None and _read_by_blocks(src):
+            from .graph import prepared_rows
+
+            stream = prepared_rows(src, args.sort, args.on_error, stats)
         else:
             stream = parse_flow_rows(src, columns=columns, on_error=args.on_error, stats=stats)
             # The dedupe key holds start_ts and the sort is stable, so on a

@@ -187,41 +187,41 @@ def _row_blocks(rows: Iterable[FlowRow], name) -> Iterator[_Block]:
         yield _checked(np.array(batch, dtype=_ROW_DTYPE), name)
 
 
-def _columns(blocks: Iterable[_Block], types="qqqq", times=("start_ts",)) -> list[np.ndarray]:
-    """Drain blocks whose IPs are looked up as ids into columns of the array
-    typecodes ``types``, which numpy reads as the same C types: source id,
-    destination id, port pair key and each field of ``times``."""
-    src, dst, *rest = columns = [array(code) for code in types]
+def _columns(blocks: Iterable[_Block]) -> list[np.ndarray]:
+    """Drain blocks whose IPs are looked up as ids into five columns, 28
+    bytes a row: int32 source and destination ids, the uint32 port pair key,
+    and int64 start_ts and end_ts."""
+    src, dst, *rest = columns = [array(code) for code in "iiIqq"]
     for src_ids, dst_ids, keys, rows in blocks:
         src.extend(src_ids)
         dst.extend(dst_ids)
-        for column, values in zip(rest, (keys, *(rows[name] for name in times))):
+        for column, values in zip(rest, (keys, rows["start_ts"], rows["end_ts"])):
             column.frombytes(values.astype(column.typecode, copy=False).tobytes())
     return [np.frombuffer(c, dtype=c.typecode) for c in columns]
 
 
-# What numpy's reader raises on a file or row it cannot read as the row parser
-# would; _plain_blocks says when
-_NOT_PLAIN = (ValueError, OverflowError, DeprecationWarning)
-
-
-def flow_blocks(fh: IO[str], ips: _IpTable) -> Iterator[_Block]:
-    """The rows of ``parse_flow_rows(fh)`` in blocks of four parts, as
-    ``_checked`` gives them: source IPs and destination IPs, each IP as
-    ``ips`` names its text, port pair keys and structured rows; and the
-    parser's error, if it raises one, after blocks that hold a prefix of the
-    rows before it.
+def flow_blocks(fh: IO[str], ips: _IpTable, on_error="abort", stats=None) -> Iterator[_Block]:
+    """The rows of ``parse_flow_rows(fh, on_error=on_error, stats=stats)``
+    in blocks of four parts, as ``_checked`` gives them: source IPs and
+    destination IPs, each IP as ``ips`` names its text, port pair keys and
+    structured rows; and the parser's error, if it raises one, after blocks
+    that hold a prefix of the rows before it; ``stats`` is a ParseStats or
+    None. The one place that chooses between numpy's reader and the row
+    parser.
 
     Plain canonical CSV, as ``write_flows`` writes it, is read in blocks of
     about 64 KB by numpy's C reader. Memory is the block being read, the one
-    the caller still holds, and one entry of ``ips`` per distinct raw IP text.
+    the caller still holds, and one entry of ``ips`` per distinct raw IP
+    text. A whole file read so sets ``stats.rows`` and ``stats.parsed`` to
+    its row count.
 
     A file that cannot seek back, and the first block that is not plain or
     holds a row numpy cannot read or the parser would reject, go to the row
-    parser, which reads the file again from its start and skips the rows
-    already yielded. So every error is the parser's own, with its message
-    and line number, at the cost of parsing the yielded prefix once more.
-    The parser's IP text is already canonical, so ``ips.keep`` names it.
+    parser, which reads the file again from its start, counts into
+    ``stats`` and skips the rows already yielded. So every error, skipped
+    row and count is the parser's own, with its message and line number, at
+    the cost of parsing the yielded prefix once more. The parser's IP text
+    is already canonical, so ``ips.keep`` names it.
     """
     done = 0
     if fh.seekable():
@@ -229,43 +229,41 @@ def flow_blocks(fh: IO[str], ips: _IpTable) -> Iterator[_Block]:
             for block in _plain_blocks(fh, ips):
                 done += len(block[3])
                 yield block
+            if stats is not None:
+                stats.rows = stats.parsed = done
             return
-        except _NOT_PLAIN:
+        # what numpy's reader raises on a file or row it cannot read as the
+        # row parser would; _plain_blocks says when
+        except (ValueError, OverflowError, DeprecationWarning):
             fh.seek(0)
-    yield from _row_blocks(islice(parse_flow_rows(fh), done, None), ips.keep)
+    rows = parse_flow_rows(fh, on_error=on_error, stats=stats)
+    yield from _row_blocks(islice(rows, done, None), ips.keep)
 
 
-def flow_columns(fh: IO[str]) -> tuple[list[str], list[np.ndarray]]:
+def flow_columns(fh: IO[str], on_error="abort", stats=None) -> tuple[list[str], list[np.ndarray]]:
     """The canonical IPs in id order and the ``_columns`` of the rows of
-    ``parse_flow_rows(fh)``, up to the order of the IP ids, read by
-    ``flow_blocks``. Ids are keyed by canonical text, so those given out
-    before a fall back to the row parser stay valid."""
+    ``parse_flow_rows(fh, on_error=on_error, stats=stats)``, up to the order
+    of the IP ids, read by ``flow_blocks``. Ids are keyed by canonical text,
+    so those given out before a fall back to the row parser stay valid."""
     ids = defaultdict(count().__next__)
-    columns = _columns(flow_blocks(fh, _IpTable(ids.__getitem__)))
+    columns = _columns(flow_blocks(fh, _IpTable(ids.__getitem__), on_error, stats))
+    # only now that the blocks are drained does ids hold every IP
     return list(ids), columns
 
 
-def prepared_rows(fh: IO[str], sort: str) -> tuple[int, Iterator[FlowRow]] | None:
-    """The number of rows of the plain canonical flow file ``fh``, and the
-    rows ``prepare --dedupe --sort <sort>`` writes from them; or None, with
-    ``fh`` back at its start, at the first block ``_plain_blocks`` rejects, so
-    that the row parser reads the file and words every error.
+def prepared_rows(fh: IO[str], sort: str, on_error: str, stats) -> Iterator[FlowRow]:
+    """The rows ``prepare --dedupe --sort <sort> --on-error <on_error>``
+    writes from the flow file ``fh``, read by ``flow_columns``, which counts
+    into ``stats`` as the row parser does.
 
     The rows are the first of each dedupe key, in input order (``sort``
     "none") or stably sorted by start_ts ("start"); with "end", the rows are
     stably sorted by end_ts first, so the kept row of a key is its
     earliest-ending one. The whole file is read before the first row is
-    given, into five narrow columns: int32 IP ids, the uint32 port pair key
-    and int64 start_ts and end_ts, 28 bytes a row, plus one entry per
-    distinct IP text. The IP text is canonical, so no field needs quoting.
+    given, into the five ``_columns``, 28 bytes a row, plus one entry per
+    distinct IP.
     """
-    ids = defaultdict(count().__next__)
-    blocks = _plain_blocks(fh, _IpTable(ids.__getitem__))
-    try:
-        columns = _columns(blocks, "iiIqq", ("start_ts", "end_ts"))
-    except _NOT_PLAIN:
-        fh.seek(0)
-        return None
+    ips, columns = flow_columns(fh, on_error, stats)
     if sort == "end":
         order = np.argsort(columns[4], kind="stable")
         # in place, so that each column is freed once its sorted copy is made
@@ -274,7 +272,7 @@ def prepared_rows(fh: IO[str], sort: str) -> tuple[int, Iterator[FlowRow]] | Non
     kept = np.flatnonzero(_first_rows(columns[:4]))
     if sort == "start":
         kept = kept[np.argsort(columns[3][kept], kind="stable")]
-    return len(columns[0]), _sliced_rows(list(ids), [column[kept] for column in columns])
+    return _sliced_rows(ips, [column[kept] for column in columns])
 
 
 # Rows per slice of _sliced_rows: one slice's Python objects are alive at a time
@@ -323,7 +321,7 @@ def build_static_graph(records: Iterable[FlowRow], retained: set[PortPair]) -> S
     """
     ids = defaultdict(count().__next__)
     name = _IpTable(ids.__getitem__).__getitem__
-    src, dst, key, _ = _columns(_row_blocks(records, name))
+    src, dst, key = _columns(_row_blocks(records, name))[:3]
     edge = np.isin(key, np.array([_pair_key(*pair) for pair in retained], dtype=np.int64))
     return _graph_from_edges(list(ids), src[edge], dst[edge], key[edge])
 
@@ -352,7 +350,8 @@ def _learning_edges(fh: IO[str], split: float, fraction: float):
     ips, columns = flow_columns(fh)
     total = len(columns[0])
     prefix = int(total * split)
-    columns = [column[:prefix] for column in columns]
+    # the dedupe key: source, destination, port pair and start_ts
+    columns = [column[:prefix] for column in columns[:4]]
     kept = _first_rows(columns)
     src, dst, key = (column[kept] for column in columns[:3])
     del columns, kept

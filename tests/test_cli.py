@@ -3,6 +3,7 @@
 import argparse
 import csv
 import hashlib
+import inspect
 import json
 import os
 import random
@@ -11,6 +12,7 @@ import threading
 import warnings
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -1062,6 +1064,52 @@ def test_prepare_skips_a_row_past_the_first_block_as_the_row_path_does(
         f"  skipped line 3002: {message}\n",
     )
     assert runs[1] == runs[0]
+
+
+QUOTED_IP_ROW = '9,9,"10.0.0.3",10.0.0.4,1,2\n'
+
+
+@pytest.mark.parametrize("bad_row, message", BAD_ROWS)
+def test_prepare_by_blocks_falls_back_once_to_the_row_parser(
+    tmp_path, capsys, monkeypatch, bad_row, message
+):
+    # the quoted IP past the first block sends the file to flow_blocks' row
+    # parser, which skips the bad row after it; prepare's own row path and
+    # its dedupe never run
+    flows_path = tmp_path / "flows.csv"
+    flows_path.write_text(HEADER + "".join(PLAIN_ROWS[:3000]) + QUOTED_IP_ROW
+                          + "".join(PLAIN_ROWS[3000:3500]) + bad_row + "\n"
+                          + "".join(PLAIN_ROWS[3500:]))
+    spies = {}
+    runs = []
+    for floor in (1 << 62, 0):
+        monkeypatch.setattr(cli_module, "_BLOCK_READ_BYTES", floor)
+        if floor == 0:
+            for module, name in ((cli_module, "parse_flow_rows"), (cli_module, "dedupe_flows"),
+                                 (graph_module, "parse_flow_rows")):
+                spies[module, name] = mock.Mock(wraps=getattr(module, name))
+                monkeypatch.setattr(module, name, spies[module, name])
+        out = tmp_path / f"out-{floor}.csv"
+        args = flow_command("prepare", flows_path, None, out) + ["--on-error", "skip"]
+        assert main(args) == 0
+        stdout, stderr = capsys.readouterr()
+        # the config block names the output path
+        counts = [line for line in stdout.splitlines() if not line.startswith(("[", "  "))]
+        runs.append((counts, stderr, out.read_bytes()))
+    assert runs[0][:2] == (
+        ["rows read: 4002", "records parsed: 4001", "rows skipped: 1", "duplicates removed: 0",
+         "records written: 4001"],
+        f"  skipped line 3503: {message}\n",
+    )
+    assert runs[1] == runs[0]
+    assert not spies[cli_module, "parse_flow_rows"].called
+    assert not spies[cli_module, "dedupe_flows"].called
+    (call,) = spies[graph_module, "parse_flow_rows"].call_args_list
+    passed = inspect.signature(parse_flow_rows).bind(*call.args, **call.kwargs).arguments
+    assert passed["on_error"] == "skip"
+    # the command's own counters: the re-read prefix is counted once
+    stats = passed["stats"]
+    assert (stats.rows, stats.parsed, stats.skipped) == (4002, 4001, 1)
 
 
 @pytest.mark.parametrize("command", ["prepare", "learn", "baseline", "stream"])

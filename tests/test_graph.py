@@ -643,6 +643,16 @@ def prepare_file(text, args, floor, block=1 << 16):
         return code, counts, stderr.getvalue(), out.read_bytes() if out.exists() else None
 
 
+def quoted_ip_then_bad_row(at):
+    """``PLAIN_BLOCKS`` with a quoted IP as its line ``at``, which the block
+    reader rejects and the row parser reads, and 500 lines later a row that
+    starts after it ends, which the row parser rejects. Line 3002 lies past
+    the first 64 KB block, line 2 inside it."""
+    lines = PLAIN_BLOCKS.splitlines(keepends=True)
+    return "".join([*lines[: at - 1], '9,9,"10.0.0.3",10.0.0.4,1,2\n', *lines[at - 1 : at + 499],
+                    "9,8,10.0.0.3,10.0.0.4,1,2\n", *lines[at + 499 :]])
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(
     text=flow_file_texts(),
@@ -656,6 +666,12 @@ def prepare_file(text, args, floor, block=1 << 16):
 @example(text=TIED_ROWS, block=64, sort="end", on_error="abort")
 @example(text=after_plain_blocks("9,9,10.0.0.3,nope,1,2"), block=1 << 16, sort="start",
          on_error="skip")
+@example(text=quoted_ip_then_bad_row(3002), block=1 << 16, sort="start", on_error="skip")
+@example(text=quoted_ip_then_bad_row(3002), block=1 << 16, sort="end", on_error="skip")
+@example(text=quoted_ip_then_bad_row(3002), block=1 << 16, sort="none", on_error="skip")
+@example(text=quoted_ip_then_bad_row(2), block=1 << 16, sort="start", on_error="skip")
+@example(text=quoted_ip_then_bad_row(2), block=1 << 16, sort="end", on_error="skip")
+@example(text=quoted_ip_then_bad_row(2), block=1 << 16, sort="none", on_error="skip")
 @example(text=CANONICAL_HEADER, block=1 << 16, sort="start", on_error="abort")
 @example(text="", block=1 << 16, sort="none", on_error="abort")
 def test_prepare_dedupe_by_blocks_writes_what_the_row_path_writes(text, block, sort, on_error):

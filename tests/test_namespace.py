@@ -312,3 +312,23 @@ def test_only_graph_packs_port_pairs():
                    for o in operands):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def callers(name: str) -> set[str]:
+    """The package's top-level functions that call ``name``, as ``module.function``."""
+    found = set()
+    for path in sorted((SRC / "keyterrain").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and name in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                ):
+                    found.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return found
+
+
+def test_one_way_from_a_flow_file_to_columns():
+    # flow_blocks alone chooses between numpy's reader and the row parser,
+    # and _columns fills one layout for each reader of the flow file
+    assert callers("_plain_blocks") == {"graph.flow_blocks"}
+    assert callers("_columns") == {"graph.flow_columns", "graph.build_static_graph"}
