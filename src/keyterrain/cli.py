@@ -9,16 +9,13 @@ import time
 from dataclasses import fields
 from pathlib import Path
 
-# Building the parser and choosing prepare's reader need only these two
+# Building the parser and prepare without --dedupe need only these two
 # modules. Each command imports the numpy-backed modules it uses inside its own
-# function, so prepare loads numpy only when _read_by_blocks sends a large
-# plain file with --dedupe to graph.prepared_rows.
+# function, so prepare loads numpy exactly when --dedupe is given.
 from .constants import (
     DEFAULT_DAMPING, DEFAULT_MAX_ITERS, DEFAULT_TOLERANCE, HEURISTICS, LearnConfig, StreamConfig,
 )
-from .flows import (
-    ParseStats, _plain_names, dedupe_flows, parse_flow_rows, sort_flows, write_flows,
-)
+from .flows import ParseStats, parse_flow_rows, sort_flows, write_flows
 
 
 def _resolve_seed(args) -> int:
@@ -60,27 +57,6 @@ def _parse_column_mapping(text: str | None) -> dict | None:
     return mapping
 
 
-# The size from which prepare --dedupe reads a plain canonical flow file with
-# numpy's block reader. Below it, numpy's import costs more than the faster
-# read saves: measured break-even 2.6 to 3.7 MB (see README, Dedup).
-_BLOCK_READ_BYTES = 3 << 20
-
-
-def _read_by_blocks(src) -> bool:
-    """Whether the flow file ``src`` can seek back, is at least
-    ``_BLOCK_READ_BYTES`` long and has a plain canonical header, which
-    ``prepare --dedupe`` then reads by blocks; ``src`` is left at its start.
-    Loads no numpy."""
-    if not src.seekable() or os.fstat(src.fileno()).st_size < _BLOCK_READ_BYTES:
-        return False
-    try:
-        plain = _plain_names(src.readline()) is not None
-    except ValueError:  # an undecodable header is the row parser's to report
-        plain = False
-    src.seek(0)
-    return plain
-
-
 def cmd_prepare(args) -> int:
     columns = _parse_column_mapping(args.columns)
     # opening --out for writing would truncate the input before it is read
@@ -89,24 +65,15 @@ def cmd_prepare(args) -> int:
     _effective_config(args, columns=args.columns or "(canonical)")
     stats = ParseStats()
     with open(args.flows, encoding="utf-8", newline="") as src:
-        # without --dedupe the row path's memory is bounded, the block path's
-        # never is: it holds every row
-        if args.dedupe and columns is None and _read_by_blocks(src):
+        # with --dedupe every raw row is held, 28 bytes each (see README,
+        # Dedup); without it the memory is bounded and numpy is not loaded
+        if args.dedupe:
             from .graph import prepared_rows
 
-            stream = prepared_rows(src, args.sort, args.on_error, stats)
+            stream = prepared_rows(src, args.sort, args.on_error, stats, columns)
         else:
-            stream = parse_flow_rows(src, columns=columns, on_error=args.on_error, stats=stats)
-            # The dedupe key holds start_ts and the sort is stable, so on a
-            # start or no sort every key keeps the same first copy whichever
-            # runs first; deduping first leaves the sort only distinct rows.
-            # On an end sort the kept copy is the earliest-ending one, so the
-            # sort must come first.
-            if args.dedupe and args.sort != "end":
-                stream = dedupe_flows(stream)
-            stream = sort_flows(stream, key=args.sort)
-            if args.dedupe and args.sort == "end":
-                stream = dedupe_flows(stream)
+            rows = parse_flow_rows(src, columns=columns, on_error=args.on_error, stats=stats)
+            stream = sort_flows(rows, key=args.sort)
         out_path = Path(args.out)
         out_path.parent.mkdir(parents=True, exist_ok=True)
         dst = open(out_path, "w", encoding="utf-8", newline="")

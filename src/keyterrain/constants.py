@@ -15,9 +15,10 @@ HEURISTICS = ("minimum", "maximum", "average", "smallest_difference")
 
 
 def check_grid_step(step: float) -> None:
-    """Reject a factor grid step outside (0, 1]."""
-    if not 0.0 < step <= 1.0:
-        raise ValueError(f"grid_step out of (0, 1]: {step}")
+    """Reject a factor grid step outside [0.001, 1], so that a grid holds at
+    most 1,001 values."""
+    if not 0.001 <= step <= 1.0:
+        raise ValueError(f"grid_step out of [0.001, 1]: {step}")
 
 
 @dataclass

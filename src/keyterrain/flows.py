@@ -387,10 +387,11 @@ def dedupe_flows(records: Iterable[FlowRow]) -> Iterator[FlowRow]:
     """Keep the first record per (src_ip, dst_ip, src_port, dst_port, start_ts).
 
     end_ts is deliberately left out of the key: re-exports of the same flow
-    with a refreshed end timestamp must still collapse. Used when preparing
-    the learning graph only; the streaming phase consumes every flow. The set
-    of seen keys is never trimmed, so memory grows with the number of
-    distinct keys (not with the number of records).
+    with a refreshed end timestamp must still collapse. The row form of the
+    dedupe that ``prepare --dedupe`` and ``learn`` run on columns; the
+    streaming phase consumes every flow. The set of seen keys is never
+    trimmed, so memory grows with the number of distinct keys (not with the
+    number of records).
     """
     seen: set[tuple] = set()
     for rec in records:

@@ -200,14 +200,16 @@ def _columns(blocks: Iterable[_Block]) -> list[np.ndarray]:
     return [np.frombuffer(c, dtype=c.typecode) for c in columns]
 
 
-def flow_blocks(fh: IO[str], ips: _IpTable, on_error="abort", stats=None) -> Iterator[_Block]:
-    """The rows of ``parse_flow_rows(fh, on_error=on_error, stats=stats)``
-    in blocks of four parts, as ``_checked`` gives them: source IPs and
+def flow_blocks(
+    fh: IO[str], ips: _IpTable, on_error="abort", stats=None, mapping=None
+) -> Iterator[_Block]:
+    """The rows of ``parse_flow_rows(fh, mapping, on_error, stats)`` in
+    blocks of four parts, as ``_checked`` gives them: source IPs and
     destination IPs, each IP as ``ips`` names its text, port pair keys and
     structured rows; and the parser's error, if it raises one, after blocks
     that hold a prefix of the rows before it; ``stats`` is a ParseStats or
-    None. The one place that chooses between numpy's reader and the row
-    parser.
+    None, and ``mapping`` the parser's column mapping or None. The one place
+    that chooses between numpy's reader and the row parser.
 
     Plain canonical CSV, as ``write_flows`` writes it, is read in blocks of
     about 64 KB by numpy's C reader. Memory is the block being read, the one
@@ -215,8 +217,10 @@ def flow_blocks(fh: IO[str], ips: _IpTable, on_error="abort", stats=None) -> Ite
     text. A whole file read so sets ``stats.rows`` and ``stats.parsed`` to
     its row count.
 
-    A file that cannot seek back, and the first block that is not plain or
-    holds a row numpy cannot read or the parser would reject, go to the row
+    A file given with a mapping goes straight to the row parser: numpy's
+    reader matches columns by their canonical header names only. So does a
+    file that cannot seek back. The first block that is not plain or holds a
+    row numpy cannot read or the parser would reject also goes to the row
     parser, which reads the file again from its start, counts into
     ``stats`` and skips the rows already yielded. So every error, skipped
     row and count is the parser's own, with its message and line number, at
@@ -224,7 +228,7 @@ def flow_blocks(fh: IO[str], ips: _IpTable, on_error="abort", stats=None) -> Ite
     is already canonical, so ``ips.keep`` names it.
     """
     done = 0
-    if fh.seekable():
+    if not mapping and fh.seekable():
         try:
             for block in _plain_blocks(fh, ips):
                 done += len(block[3])
@@ -236,25 +240,29 @@ def flow_blocks(fh: IO[str], ips: _IpTable, on_error="abort", stats=None) -> Ite
         # row parser would; _plain_blocks says when
         except (ValueError, OverflowError, DeprecationWarning):
             fh.seek(0)
-    rows = parse_flow_rows(fh, on_error=on_error, stats=stats)
+    rows = parse_flow_rows(fh, columns=mapping, on_error=on_error, stats=stats)
     yield from _row_blocks(islice(rows, done, None), ips.keep)
 
 
-def flow_columns(fh: IO[str], on_error="abort", stats=None) -> tuple[list[str], list[np.ndarray]]:
+def flow_columns(
+    fh: IO[str], on_error="abort", stats=None, mapping=None
+) -> tuple[list[str], list[np.ndarray]]:
     """The canonical IPs in id order and the ``_columns`` of the rows of
-    ``parse_flow_rows(fh, on_error=on_error, stats=stats)``, up to the order
-    of the IP ids, read by ``flow_blocks``. Ids are keyed by canonical text,
-    so those given out before a fall back to the row parser stay valid."""
+    ``parse_flow_rows(fh, mapping, on_error, stats)``, up to the order of
+    the IP ids, read by ``flow_blocks``. Ids are keyed by canonical text, so
+    those given out before a fall back to the row parser stay valid."""
     ids = defaultdict(count().__next__)
-    columns = _columns(flow_blocks(fh, _IpTable(ids.__getitem__), on_error, stats))
+    columns = _columns(flow_blocks(fh, _IpTable(ids.__getitem__), on_error, stats, mapping))
     # only now that the blocks are drained does ids hold every IP
     return list(ids), columns
 
 
-def prepared_rows(fh: IO[str], sort: str, on_error: str, stats) -> Iterator[FlowRow]:
+def prepared_rows(fh: IO[str], sort: str, on_error: str, stats, mapping) -> Iterator[FlowRow]:
     """The rows ``prepare --dedupe --sort <sort> --on-error <on_error>``
-    writes from the flow file ``fh``, read by ``flow_columns``, which counts
-    into ``stats`` as the row parser does.
+    writes from the flow file ``fh``, its columns named as ``mapping`` (the
+    parsed ``--columns``, or None) names them, read by ``flow_columns``,
+    which counts into ``stats`` as the row parser does. The one reader of
+    ``prepare --dedupe``.
 
     The rows are the first of each dedupe key, in input order (``sort``
     "none") or stably sorted by start_ts ("start"); with "end", the rows are
@@ -263,7 +271,7 @@ def prepared_rows(fh: IO[str], sort: str, on_error: str, stats) -> Iterator[Flow
     given, into the five ``_columns``, 28 bytes a row, plus one entry per
     distinct IP.
     """
-    ips, columns = flow_columns(fh, on_error, stats)
+    ips, columns = flow_columns(fh, on_error, stats, mapping)
     if sort == "end":
         order = np.argsort(columns[4], kind="stable")
         # in place, so that each column is freed once its sorted copy is made

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import ipaddress
 import random
 from collections import Counter
@@ -15,10 +16,14 @@ from keyterrain.flows import (
     CANONICAL_COLUMNS,
     FlowParseError,
     FlowRecord,
+    ParseStats,
     PortPair,
     _parse_port,
     _parse_timestamp,
     dedupe_flows,
+    parse_flow_rows,
+    sort_flows,
+    write_flows,
 )
 from keyterrain.graph import (
     GraphBuildError,
@@ -452,6 +457,36 @@ def learning_graph_by_rows(rows, split, fraction):
         "edges": graph.edge_count,
     }
     return graph, info
+
+
+def prepared_by_rows(text, sort, on_error, mapping=None):
+    """What ``prepare --dedupe --sort <sort> --on-error <on_error>`` gives
+    over a flow file of ``text`` with ``mapping`` as its parsed
+    ``--columns``, worked out with the library's row functions: its exit
+    code, its five count lines, its standard error and the bytes it writes,
+    or None when it leaves no file.
+
+    The dedupe key holds start_ts and ``sort_flows`` is stable, so on a start
+    or no sort the first copy of a key in the input is kept whether the
+    dedupe runs before the sort or after it; on an end sort the kept copy is
+    the earliest-ending one, so the sort runs first."""
+    stats = ParseStats()
+    rows = parse_flow_rows(io.StringIO(text, newline=""), mapping, on_error, stats)
+    if sort == "end":
+        rows = dedupe_flows(sort_flows(rows, key=sort))
+    else:
+        rows = sort_flows(dedupe_flows(rows), key=sort)
+    out = io.StringIO(newline="")
+    try:
+        written = write_flows(rows, out)
+    except ValueError as exc:
+        return 1, [], f"error: {exc}\n", None
+    counts = [f"rows read: {stats.rows}", f"records parsed: {stats.parsed}",
+              f"rows skipped: {stats.skipped}", f"duplicates removed: {stats.parsed - written}",
+              f"records written: {written}"]
+    skipped = "".join(f"  skipped line {line_no}: {message}\n"
+                      for line_no, message in stats.errors[:10])
+    return 0, counts, skipped, out.getvalue().encode()
 
 
 def stream_masses_by_rule(records, table: DampingTable, beta: float):

@@ -17,6 +17,7 @@ from unittest import mock
 import pytest
 
 from keyterrain import cli as cli_module
+from keyterrain import flows as flows_module
 from keyterrain import graph as graph_module
 from keyterrain.cli import build_parser, main
 from keyterrain.flows import (
@@ -31,7 +32,7 @@ from keyterrain.learning import LearnConfig
 from keyterrain.pagerank import DampingTable
 from keyterrain.streaming import StreamConfig, run_stream, write_samples_csv, write_topk_csv
 
-from instances import STAR_SERVER, flow, star_instance, tangled_instance
+from instances import STAR_SERVER, flow, prepared_by_rows, star_instance, tangled_instance
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -337,7 +338,8 @@ class TestLearn:
     @pytest.mark.parametrize(
         "option, value, message",
         [
-            ("grid_step", "0", "grid_step out of (0, 1]: 0.0"),
+            ("grid_step", "0", "grid_step out of [0.001, 1]: 0.0"),
+            ("grid_step", "1e-9", "grid_step out of [0.001, 1]: 1e-09"),
             ("rw_probability", "2", "rw_probability out of [0, 1]: 2.0"),
             ("max_iterations", "-1", "max_iterations must be non-negative"),
             ("pair_fraction", "1.5", "fraction must be in [0, 1], got 1.5"),
@@ -1009,12 +1011,6 @@ def labels_path(tmp_path):
     return path
 
 
-@pytest.fixture
-def block_read_floor_0(monkeypatch):
-    """prepare --dedupe reads a plain file of any size by blocks."""
-    monkeypatch.setattr(cli_module, "_BLOCK_READ_BYTES", 0)
-
-
 BAD_ROWS = [
     ("9,9,10.0.0.3,not-an-ip,1,2", "bad IP address 'not-an-ip'"),
     ("9,8,10.0.0.3,10.0.0.4,1,2", "start_ts 9 after end_ts 8"),
@@ -1030,7 +1026,7 @@ def with_bad_row(flows_path, bad_row):
 @pytest.mark.parametrize("command", ["prepare", "learn", "baseline", "stream"])
 @pytest.mark.parametrize("bad_row, message", BAD_ROWS)
 def test_row_error_past_the_first_block_is_worded_by_the_row_parser(
-    tmp_path, capsys, labels_path, block_read_floor_0, command, bad_row, message
+    tmp_path, capsys, labels_path, command, bad_row, message
 ):
     flows_path = tmp_path / "flows.csv"
     with_bad_row(flows_path, bad_row)
@@ -1042,28 +1038,55 @@ def test_row_error_past_the_first_block_is_worded_by_the_row_parser(
     assert not out.exists()
 
 
+def prepare_run(capsys, flows_path, out, *options):
+    """What ``prepare --dedupe`` with ``options`` gives over the flow file:
+    its exit code, the count lines it prints, its standard error and the
+    bytes it writes."""
+    code = main(["prepare", "--flows", str(flows_path), "--out", str(out), "--dedupe", *options])
+    stdout, stderr = capsys.readouterr()
+    # the config block names the output path
+    counts = [line for line in stdout.splitlines() if not line.startswith(("[", "  "))]
+    return code, counts, stderr, out.read_bytes()
+
+
+def spy_on_row_path(monkeypatch):
+    """Spies on the row parser as ``cli`` and ``graph`` bind it and on the
+    row dedupe wherever a package module binds it, keyed (module, name)."""
+    spies = {}
+    for module in (cli_module, flows_module, graph_module):
+        for name in ("parse_flow_rows", "dedupe_flows"):
+            if hasattr(module, name):
+                spies[module, name] = mock.Mock(wraps=getattr(module, name))
+                monkeypatch.setattr(module, name, spies[module, name])
+    return spies
+
+
+def assert_read_once_by_graph(spies, **arguments):
+    """Only ``graph``'s row parser ran, once, with ``arguments`` among its
+    arguments, and no row dedupe ran; returns the arguments it was given."""
+    assert not spies[cli_module, "parse_flow_rows"].called
+    assert [name for (_, name), spy in spies.items() if spy.called] == ["parse_flow_rows"]
+    (call,) = spies[graph_module, "parse_flow_rows"].call_args_list
+    passed = inspect.signature(parse_flow_rows).bind(*call.args, **call.kwargs).arguments
+    assert {name: passed[name] for name in arguments} == arguments
+    return passed
+
+
 @pytest.mark.parametrize("bad_row, message", BAD_ROWS)
 def test_prepare_skips_a_row_past_the_first_block_as_the_row_path_does(
-    tmp_path, capsys, monkeypatch, bad_row, message
+    tmp_path, capsys, bad_row, message
 ):
     flows_path = tmp_path / "flows.csv"
     with_bad_row(flows_path, bad_row)
-    runs = []
-    for floor in (1 << 62, 0):
-        monkeypatch.setattr(cli_module, "_BLOCK_READ_BYTES", floor)
-        out = tmp_path / f"out-{floor}.csv"
-        args = flow_command("prepare", flows_path, None, out) + ["--on-error", "skip"]
-        assert main(args) == 0
-        stdout, stderr = capsys.readouterr()
-        # the config block names the output path
-        counts = [line for line in stdout.splitlines() if not line.startswith(("[", "  "))]
-        runs.append((counts, stderr, out.read_bytes()))
-    assert runs[0][:2] == (
+    run = prepare_run(capsys, flows_path, tmp_path / "out.csv", "--sort", "start",
+                      "--on-error", "skip")
+    assert run[:3] == (
+        0,
         ["rows read: 4001", "records parsed: 4000", "rows skipped: 1", "duplicates removed: 0",
          "records written: 4000"],
         f"  skipped line 3002: {message}\n",
     )
-    assert runs[1] == runs[0]
+    assert run == prepared_by_rows(flows_path.read_bytes().decode(), "start", "skip")
 
 
 QUOTED_IP_ROW = '9,9,"10.0.0.3",10.0.0.4,1,2\n'
@@ -1074,47 +1097,73 @@ def test_prepare_by_blocks_falls_back_once_to_the_row_parser(
     tmp_path, capsys, monkeypatch, bad_row, message
 ):
     # the quoted IP past the first block sends the file to flow_blocks' row
-    # parser, which skips the bad row after it; prepare's own row path and
-    # its dedupe never run
+    # parser, which skips the bad row after it; no row dedupe runs
     flows_path = tmp_path / "flows.csv"
     flows_path.write_text(HEADER + "".join(PLAIN_ROWS[:3000]) + QUOTED_IP_ROW
                           + "".join(PLAIN_ROWS[3000:3500]) + bad_row + "\n"
                           + "".join(PLAIN_ROWS[3500:]))
-    spies = {}
-    runs = []
-    for floor in (1 << 62, 0):
-        monkeypatch.setattr(cli_module, "_BLOCK_READ_BYTES", floor)
-        if floor == 0:
-            for module, name in ((cli_module, "parse_flow_rows"), (cli_module, "dedupe_flows"),
-                                 (graph_module, "parse_flow_rows")):
-                spies[module, name] = mock.Mock(wraps=getattr(module, name))
-                monkeypatch.setattr(module, name, spies[module, name])
-        out = tmp_path / f"out-{floor}.csv"
-        args = flow_command("prepare", flows_path, None, out) + ["--on-error", "skip"]
-        assert main(args) == 0
-        stdout, stderr = capsys.readouterr()
-        # the config block names the output path
-        counts = [line for line in stdout.splitlines() if not line.startswith(("[", "  "))]
-        runs.append((counts, stderr, out.read_bytes()))
-    assert runs[0][:2] == (
+    expected = prepared_by_rows(flows_path.read_bytes().decode(), "start", "skip")
+    spies = spy_on_row_path(monkeypatch)
+    run = prepare_run(capsys, flows_path, tmp_path / "out.csv", "--sort", "start",
+                      "--on-error", "skip")
+    assert run[:3] == (
+        0,
         ["rows read: 4002", "records parsed: 4001", "rows skipped: 1", "duplicates removed: 0",
          "records written: 4001"],
         f"  skipped line 3503: {message}\n",
     )
-    assert runs[1] == runs[0]
-    assert not spies[cli_module, "parse_flow_rows"].called
-    assert not spies[cli_module, "dedupe_flows"].called
-    (call,) = spies[graph_module, "parse_flow_rows"].call_args_list
-    passed = inspect.signature(parse_flow_rows).bind(*call.args, **call.kwargs).arguments
-    assert passed["on_error"] == "skip"
+    assert run == expected
+    passed = assert_read_once_by_graph(spies, columns=None, on_error="skip")
     # the command's own counters: the re-read prefix is counted once
     stats = passed["stats"]
     assert (stats.rows, stats.parsed, stats.skipped) == (4002, 4001, 1)
 
 
+def test_prepare_dedupe_with_columns_reads_once_by_the_row_parser(tmp_path, capsys, monkeypatch):
+    # numpy's reader matches columns by their canonical names, so a mapping
+    # sends the file straight to flow_blocks' row parser; swapped IP columns
+    # over a canonical header read wrong by any other way
+    flows_path = tmp_path / "flows.csv"
+    flows_path.write_text(HEADER + "".join(PLAIN_ROWS) + "".join(PLAIN_ROWS[:1000]))
+    mapping = {"src_ip": "dst_ip", "dst_ip": "src_ip"}
+    expected = prepared_by_rows(flows_path.read_text(), "start", "abort", mapping)
+    spies = spy_on_row_path(monkeypatch)
+    run = prepare_run(capsys, flows_path, tmp_path / "out.csv", "--sort", "start",
+                      "--columns", "src_ip=dst_ip,dst_ip=src_ip")
+    assert run[:3] == (
+        0,
+        ["rows read: 5000", "records parsed: 5000", "rows skipped: 0",
+         "duplicates removed: 1000", "records written: 4000"],
+        "",
+    )
+    assert run == expected
+    assert run[3].splitlines()[1] == b"0,1,10.0.0.2,10.0.0.1,1000,443"
+    assert_read_once_by_graph(spies, columns=mapping, on_error="abort")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("sort", ["start", "end", "none"])
+def test_prepare_dedupe_over_a_pipe_writes_what_the_rows_give(tmp_path, capsys, sort):
+    text = (HEADER + "".join(PLAIN_ROWS[:3000]) + BAD_ROWS[0][0] + "\n"
+            + "".join(PLAIN_ROWS[3000:]) + "".join(PLAIN_ROWS[::3]))
+    fifo = tmp_path / "flows.fifo"
+    os.mkfifo(fifo)
+    # opening a named pipe for writing waits for its reader
+    writer = threading.Thread(target=fifo.write_text, args=(text,))
+    writer.start()
+    try:
+        run = prepare_run(capsys, fifo, tmp_path / "out.csv", "--sort", sort, "--on-error",
+                          "skip")
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert run == prepared_by_rows(text, sort, "skip")
+    assert run[1][3] == "duplicates removed: 1334"
+
+
 @pytest.mark.parametrize("command", ["prepare", "learn", "baseline", "stream"])
 def test_undecodable_byte_is_reported_as_line_iteration_reports_it(
-    tmp_path, capsys, labels_path, block_read_floor_0, command
+    tmp_path, capsys, labels_path, command
 ):
     flows_path = tmp_path / "flows.csv"
     bad_row = b"9,9,10.0.0.\xff,10.0.0.4,1,2\n"
@@ -1137,7 +1186,7 @@ def test_undecodable_byte_is_reported_as_line_iteration_reports_it(
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 @pytest.mark.parametrize("command", ["prepare", "learn", "baseline", "stream"])
 def test_unseekable_flow_file_is_read_by_the_row_parser(
-    tangled_files, tmp_path, monkeypatch, block_read_floor_0, command
+    tangled_files, tmp_path, monkeypatch, command
 ):
     flows_path, labels_path = tangled_files
     fifo = tmp_path / "flows.fifo"

@@ -51,6 +51,7 @@ from instances import (
     graph_of,
     learning_graph_by_rows,
     port_pairs_of,
+    prepared_by_rows,
     random_multigraph,
     static_graph_by_triples,
     vertex_of,
@@ -623,17 +624,16 @@ TIED_ROWS = CANONICAL_HEADER + "".join(
 )
 
 
-def prepare_file(text, args, floor, block=1 << 16):
-    """What ``prepare`` over a flow file of ``text`` gives with the block read
-    floor at ``floor`` bytes: its exit code, the count lines it prints, its
-    standard error and the bytes it writes, or None when it leaves no file."""
+def prepare_file(text, args, block=1 << 16):
+    """What ``prepare`` over a flow file of ``text`` gives: its exit code,
+    the count lines it prints, its standard error and the bytes it writes, or
+    None when it leaves no file."""
     with tempfile.TemporaryDirectory() as tmp:
         flows_path, out = Path(tmp, "flows.csv"), Path(tmp, "out.csv")
         with open(flows_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         stdout, stderr = io.StringIO(), io.StringIO()
-        with mock.patch.object(cli_module, "_BLOCK_READ_BYTES", floor), \
-                mock.patch.object(graph_module, "_BLOCK", block), \
+        with mock.patch.object(graph_module, "_BLOCK", block), \
                 redirect_stdout(stdout), redirect_stderr(stderr):
             code = cli_module.main(["prepare", "--flows", str(flows_path), "--out", str(out),
                                     *args])
@@ -653,34 +653,53 @@ def quoted_ip_then_bad_row(at):
                     "9,8,10.0.0.3,10.0.0.4,1,2\n", *lines[at + 499 :]])
 
 
+# --columns values: none, one that renames nothing, one that swaps the IP
+# columns of a canonical header, and one that reads one column as two fields
+COLUMN_MAPPINGS = (
+    None, {"src_ip": "src_ip"}, {"src_ip": "dst_ip", "dst_ip": "src_ip"},
+    {"start_ts": "end_ts"},
+)
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(
     text=flow_file_texts(),
     block=st.sampled_from((1, 7, 64, 1 << 16)),
     sort=st.sampled_from(("start", "end", "none")),
     on_error=st.sampled_from(("abort", "skip")),
+    mapping=st.sampled_from(COLUMN_MAPPINGS),
 )
 @example(text=PLAIN_BLOCKS + PLAIN_BLOCKS[len(CANONICAL_HEADER):], block=1 << 16, sort="end",
-         on_error="abort")
-@example(text=TIED_ROWS, block=1 << 16, sort="start", on_error="abort")
-@example(text=TIED_ROWS, block=64, sort="end", on_error="abort")
+         on_error="abort", mapping=None)
+@example(text=TIED_ROWS, block=1 << 16, sort="start", on_error="abort", mapping=None)
+@example(text=TIED_ROWS, block=64, sort="end", on_error="abort", mapping=None)
 @example(text=after_plain_blocks("9,9,10.0.0.3,nope,1,2"), block=1 << 16, sort="start",
-         on_error="skip")
-@example(text=quoted_ip_then_bad_row(3002), block=1 << 16, sort="start", on_error="skip")
-@example(text=quoted_ip_then_bad_row(3002), block=1 << 16, sort="end", on_error="skip")
-@example(text=quoted_ip_then_bad_row(3002), block=1 << 16, sort="none", on_error="skip")
-@example(text=quoted_ip_then_bad_row(2), block=1 << 16, sort="start", on_error="skip")
-@example(text=quoted_ip_then_bad_row(2), block=1 << 16, sort="end", on_error="skip")
-@example(text=quoted_ip_then_bad_row(2), block=1 << 16, sort="none", on_error="skip")
-@example(text=CANONICAL_HEADER, block=1 << 16, sort="start", on_error="abort")
-@example(text="", block=1 << 16, sort="none", on_error="abort")
-def test_prepare_dedupe_by_blocks_writes_what_the_row_path_writes(text, block, sort, on_error):
+         on_error="skip", mapping=None)
+@example(text=quoted_ip_then_bad_row(3002), block=1 << 16, sort="start", on_error="skip",
+         mapping=None)
+@example(text=quoted_ip_then_bad_row(3002), block=1 << 16, sort="end", on_error="skip",
+         mapping=None)
+@example(text=quoted_ip_then_bad_row(3002), block=1 << 16, sort="none", on_error="skip",
+         mapping=None)
+@example(text=quoted_ip_then_bad_row(2), block=1 << 16, sort="start", on_error="skip",
+         mapping=None)
+@example(text=quoted_ip_then_bad_row(2), block=1 << 16, sort="end", on_error="skip",
+         mapping=None)
+@example(text=quoted_ip_then_bad_row(2), block=1 << 16, sort="none", on_error="skip",
+         mapping=None)
+@example(text=PLAIN_BLOCKS, block=1 << 16, sort="start", on_error="abort",
+         mapping=COLUMN_MAPPINGS[2])
+@example(text=CANONICAL_HEADER, block=1 << 16, sort="start", on_error="abort", mapping=None)
+@example(text="", block=1 << 16, sort="none", on_error="abort", mapping=None)
+def test_prepare_dedupe_by_blocks_writes_what_the_row_path_writes(
+    text, block, sort, on_error, mapping
+):
     args = ["--sort", sort, "--dedupe", "--on-error", on_error]
-    expected = prepare_file(text, args, floor=1 << 62)
+    if mapping is not None:
+        args += ["--columns", ",".join(f"{field}={name}" for field, name in mapping.items())]
+    expected = prepared_by_rows(text, sort, on_error, mapping)
     assert len(expected[1]) == 5 or expected[0] == 1
-    if expected[0] == 1:
-        assert expected[3] is None
-    assert prepare_file(text, args, floor=0, block=block) == expected
+    assert prepare_file(text, args, block) == expected
 
 
 def stream_one_row_at_a_time(rows, table, config, labels, state):

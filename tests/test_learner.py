@@ -177,6 +177,11 @@ class TestGridValues:
         with pytest.raises(ValueError):
             grid_values(0.0)
 
+    def test_finest_step_gives_at_most_1001_values(self):
+        grid = grid_values(0.001)
+        assert len(grid) == 1001
+        assert (grid[1], grid[-2], grid[-1]) == (0.001, 0.999, 1.0)
+
 
 class TestHillClimbStep:
     """Single committed edge a->b with labels {b}: any factor above zero

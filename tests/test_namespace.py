@@ -1,5 +1,6 @@
-"""The package namespace loads lazily: prepare loads numpy only for a large plain
-file with --dedupe, every name stays."""
+"""The package namespace loads lazily: prepare loads numpy exactly when
+--dedupe is given, every name stays; and each job of the package has one
+function that does it."""
 
 import ast
 import importlib
@@ -81,52 +82,36 @@ def test_cli_import_loads_no_seed_or_spill_modules(tmp_path):
     assert out.split() == ["False", "False", "False"]
 
 
-def test_prepare_loads_no_numpy(tmp_path):
-    (tmp_path / "in.csv").write_text(
-        "start_ts,end_ts,src_ip,dst_ip,src_port,dst_port\n"
-        "3,4,10.0.0.1,10.0.0.2,1,2\n"
-        "1,2,10.0.0.1,10.0.0.2,1,2\n"
-        '1,2,"fe80::1%a,b",10.0.0.2,1,2\n'
-    )
-    out = run_python(
-        "import sys; from keyterrain.cli import main\n"
-        "code = main(['prepare', '--flows', 'in.csv', '--out', 'out.csv', '--sort', 'start',"
-        " '--dedupe'])\n"
-        "print(code, 'numpy' in sys.modules)",
-        tmp_path,
-    )
-    assert out.split()[-2:] == ["0", "False"]
-    assert (tmp_path / "out.csv").read_text() == (
-        "start_ts,end_ts,src_ip,dst_ip,src_port,dst_port\n"
-        "1,2,10.0.0.1,10.0.0.2,1,2\n"
-        '1,2,"fe80::1%a,b",10.0.0.2,1,2\n'
-        "3,4,10.0.0.1,10.0.0.2,1,2\n"
-    )
-
-
-def test_prepare_loads_numpy_only_for_a_large_plain_file_with_dedupe(tmp_path):
-    from keyterrain.cli import _BLOCK_READ_BYTES
-
+def test_prepare_loads_numpy_exactly_with_dedupe(tmp_path):
     header = "start_ts,end_ts,src_ip,dst_ip,src_port,dst_port\n"
+    (tmp_path / "small.csv").write_text(
+        header + "3,4,10.0.0.1,10.0.0.2,1,2\n" "1,2,10.0.0.1,10.0.0.2,1,2\n"
+        '1,2,"fe80::1%a,b",10.0.0.2,1,2\n' "3,4,10.0.0.1,10.0.0.2,1,2\n"
+    )
+    # many of numpy's 64 KB blocks
     row = "1,2,10.0.0.1,10.0.0.2,1,2\n"
-    (tmp_path / "small.csv").write_text(header + row * ((_BLOCK_READ_BYTES - 100) // len(row)))
-    (tmp_path / "large.csv").write_text(header + row * (_BLOCK_READ_BYTES // len(row)))
-    assert (tmp_path / "small.csv").stat().st_size < _BLOCK_READ_BYTES
-    assert (tmp_path / "large.csv").stat().st_size >= _BLOCK_READ_BYTES
+    (tmp_path / "large.csv").write_text(header + row * ((3 << 20) // len(row)))
     loads = {}
-    for flows, dedupe in [("small.csv", True), ("large.csv", False), ("large.csv", True)]:
-        out = run_python(
-            "import sys; from keyterrain.cli import main\n"
-            f"code = main(['prepare', '--flows', {flows!r}, '--out', 'out.csv', '--sort', 'end']"
-            f" + ['--dedupe'] * {dedupe})\n"
-            "print(code, 'numpy' in sys.modules)",
-            tmp_path,
-        )
-        assert out.split()[-2] == "0"
-        loads[flows, dedupe] = out.split()[-1]
+    for flows in ("small.csv", "large.csv"):
+        for dedupe in (False, True):
+            out = f"{flows}-{dedupe}.out"
+            printed = run_python(
+                "import sys; from keyterrain.cli import main\n"
+                f"code = main(['prepare', '--flows', {flows!r}, '--out', {out!r}, '--sort',"
+                f" 'start'] + ['--dedupe'] * {dedupe})\n"
+                "print(code, 'numpy' in sys.modules)",
+                tmp_path,
+            )
+            assert printed.split()[-2] == "0"
+            loads[flows, dedupe] = printed.split()[-1]
     assert loads == {
-        ("small.csv", True): "False", ("large.csv", False): "False", ("large.csv", True): "True"
+        ("small.csv", False): "False", ("small.csv", True): "True",
+        ("large.csv", False): "False", ("large.csv", True): "True",
     }
+    assert (tmp_path / "small.csv-True.out").read_text() == (
+        header + "1,2,10.0.0.1,10.0.0.2,1,2\n" '1,2,"fe80::1%a,b",10.0.0.2,1,2\n'
+        "3,4,10.0.0.1,10.0.0.2,1,2\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -325,6 +310,15 @@ def callers(name: str) -> set[str]:
                 ):
                     found.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
     return found
+
+
+def test_prepare_dedupe_has_one_reader():
+    # every prepare --dedupe reads through graph.prepared_rows, whatever the
+    # file's size; the row dedupe serves only as the tests' reference
+    assert callers("prepared_rows") == {"cli.cmd_prepare"}
+    assert callers("dedupe_flows") == set()
+    cli = ast.parse((SRC / "keyterrain" / "cli.py").read_text()).body
+    assert "_BLOCK_READ_BYTES" not in {name for node in cli for name in defines(node)}
 
 
 def test_one_way_from_a_flow_file_to_columns():

@@ -82,11 +82,14 @@ def fraction_messages(value, capsys):
     "messages_of, value, message",
     [
         (damping_messages, 1.5, "damping out of [0, 1]: 1.5"),
-        (grid_step_messages, 0.0, "grid_step out of (0, 1]: 0.0"),
+        (grid_step_messages, 0.0, "grid_step out of [0.001, 1]: 0.0"),
+        (grid_step_messages, 1e-9, "grid_step out of [0.001, 1]: 1e-09"),
+        (grid_step_messages, 0.0009, "grid_step out of [0.001, 1]: 0.0009"),
         (split_messages, 1.5, "--learn-split must be in (0, 1], got 1.5"),
         (fraction_messages, 1.5, "fraction must be in [0, 1], got 1.5"),
     ],
-    ids=["damping", "grid step", "learn split", "pair fraction"],
+    ids=["damping", "grid step", "grid step 1e-9", "grid step 0.0009", "learn split",
+         "pair fraction"],
 )
 def test_each_rule_words_its_error_once(messages_of, value, message, capsys, monkeypatch,
                                          tmp_path):
