@@ -64,7 +64,7 @@ def cmd_prepare(args) -> int:
         raise ValueError(f"--out {args.out} is the --flows file")
     _effective_config(args, columns=args.columns or "(canonical)")
     stats = ParseStats()
-    with open(args.flows, encoding="utf-8", newline="") as src:
+    with open(args.flows, encoding="utf-8-sig", newline="") as src:
         # with --dedupe every raw row is held, 28 bytes each (see README,
         # Dedup); without it the memory is bounded and numpy is not loaded
         if args.dedupe:
@@ -104,7 +104,7 @@ def _learning_inputs(args):
     check_split(args.learn_split)
     check_fraction(args.pair_fraction)
     labels = AddressSet.from_file(args.labels)
-    with open(args.flows, encoding="utf-8", newline="") as fh:
+    with open(args.flows, encoding="utf-8-sig", newline="") as fh:
         graph, info = read_learning_graph(fh, args.learn_split, args.pair_fraction)
     return labels, graph, info
 
@@ -179,7 +179,7 @@ def cmd_stream(args) -> int:
     config = StreamConfig(**{f.name: settings[f.name] for f in fields(StreamConfig)})
 
     started = time.perf_counter()
-    with open(args.flows, encoding="utf-8", newline="") as fh:
+    with open(args.flows, encoding="utf-8-sig", newline="") as fh:
         samples = run_stream(fh, table, config, labels)
     elapsed = time.perf_counter() - started
 

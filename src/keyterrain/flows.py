@@ -161,6 +161,19 @@ def _parse_timestamp(text: str) -> int:
     return value
 
 
+def _field_positions(header: list[str], columns: Mapping[str, str] | None) -> list[int]:
+    """The position among the stripped ``header`` names of each field of
+    CANONICAL_COLUMNS under ``columns``: the one header rule of both readers."""
+    mapping = dict(columns or {})
+    if unknown := set(mapping) - set(CANONICAL_COLUMNS):
+        raise ValueError(f"unknown column mapping keys: {sorted(unknown)}")
+    names = [mapping.get(field, field) for field in CANONICAL_COLUMNS]
+    for name in names:
+        if name not in header:
+            raise FlowParseError(1, f"missing column {name!r}")
+    return [header.index(name) for name in names]
+
+
 def parse_flow_rows(
     lines: Iterable[str],
     columns: Mapping[str, str] | None = None,
@@ -193,18 +206,7 @@ def parse_flow_rows(
         if header is None:
             raise FlowParseError(1, "missing header row")
         header = [name.strip() for name in header]
-        mapping = dict(columns or {})
-        unknown = set(mapping) - set(CANONICAL_COLUMNS)
-        if unknown:
-            raise ValueError(f"unknown column mapping keys: {sorted(unknown)}")
-        positions = []
-        for semantic in CANONICAL_COLUMNS:
-            name = mapping.get(semantic, semantic)
-            try:
-                positions.append(header.index(name))
-            except ValueError:
-                raise FlowParseError(1, f"missing column {name!r}") from None
-        i_start, i_end, i_src, i_dst, i_sport, i_dport = positions
+        i_start, i_end, i_src, i_dst, i_sport, i_dport = _field_positions(header, columns)
         arity = len(header)
 
         # An IP costs one lookup on its raw text once seen. The ports and
@@ -261,12 +263,15 @@ def _plain(text: str) -> bool:
     )
 
 
-def _plain_names(header: str) -> list[str] | None:
-    """The stripped column names of a flow file's header line when it is
-    plain (see ``_plain``) and names the six canonical columns in some order,
-    else None."""
+def _plain_names(header: str, columns: Mapping[str, str] | None) -> list[str]:
+    """The field each column of a flow file's header line holds under
+    ``columns`` (see ``_field_positions``). Raises ValueError unless the line
+    is plain (see ``_plain``) and its six columns hold the six fields, one each."""
     names = [name.strip() for name in header.split(",")]
-    return names if _plain(header) and sorted(names) == sorted(CANONICAL_COLUMNS) else None
+    fields = dict(zip(_field_positions(names, columns), CANONICAL_COLUMNS))
+    if not (_plain(header) and len(fields) == len(names) == len(CANONICAL_COLUMNS)):
+        raise ValueError("not a plain six-column header")
+    return [fields[i] for i in range(len(names))]
 
 
 def parse_flows(
@@ -342,6 +347,11 @@ def _read_run(spill: IO[bytes]) -> Iterator[FlowRow]:
         yield from batch
 
 
+def _check_sort_key(key: str) -> None:
+    if key not in ("start", "end", "none"):
+        raise ValueError(f"sort key must be 'start', 'end' or 'none', got {key!r}")
+
+
 def sort_flows(
     records: Iterable[FlowRow],
     key: str = "start",
@@ -357,11 +367,10 @@ def sort_flows(
     Each record comes back as the object it went in as (a FlowRecord or a
     plain row).
     """
+    _check_sort_key(key)
     if key == "none":
         yield from records
         return
-    if key not in ("start", "end"):
-        raise ValueError(f"sort key must be 'start', 'end' or 'none', got {key!r}")
     sort_key = itemgetter(4 if key == "start" else 5)
 
     spills: list[IO[bytes]] = []

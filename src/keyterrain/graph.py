@@ -12,7 +12,9 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .flows import FlowRecord, FlowRow, PortPair, _IpTable, _plain, _plain_names, parse_flow_rows
+from .flows import (
+    FlowRecord, FlowRow, PortPair, _check_sort_key, _IpTable, _plain, _plain_names, parse_flow_rows
+)
 
 
 class GraphBuildError(ValueError):
@@ -147,18 +149,15 @@ def _checked(rows: np.ndarray, name) -> _Block:
     return src, dst, key, rows
 
 
-def _plain_blocks(fh: IO[str], ips: dict) -> Iterator[_Block]:
-    """The rows of a plain canonical flow file, read by numpy's C reader in
-    blocks of about ``_BLOCK`` characters, each yielded as ``_checked`` gives
-    it once every field is checked. Raises ValueError when the file is not
-    plain canonical CSV (see ``_plain``) or an IP text is no address, and
-    ValueError, OverflowError or DeprecationWarning on a row numpy cannot
-    read or the row parser would reject; the messages are not the row
-    parser's."""
-    names = _plain_names(fh.readline())
-    if names is None:
-        raise ValueError("not the canonical header")
-    dtype = _dtype(names)
+def _plain_blocks(fh: IO[str], ips: dict, mapping) -> Iterator[_Block]:
+    """The rows of a plain flow file, read by numpy's C reader in blocks of
+    about ``_BLOCK`` characters, each yielded as ``_checked`` gives it once
+    every field is checked. Raises ValueError when the header is not plain
+    under the column ``mapping`` (see ``_plain_names``), a block is not plain
+    or an IP text is no address, and ValueError, OverflowError or
+    DeprecationWarning on a row numpy cannot read or the row parser would
+    reject; the messages are not the row parser's."""
+    dtype = _dtype(_plain_names(fh.readline(), mapping))
     while block := fh.read(_BLOCK):
         block += fh.readline()
         if not _plain(block):
@@ -211,26 +210,25 @@ def flow_blocks(
     None, and ``mapping`` the parser's column mapping or None. The one place
     that chooses between numpy's reader and the row parser.
 
-    Plain canonical CSV, as ``write_flows`` writes it, is read in blocks of
-    about 64 KB by numpy's C reader. Memory is the block being read, the one
-    the caller still holds, and one entry of ``ips`` per distinct raw IP
-    text. A whole file read so sets ``stats.rows`` and ``stats.parsed`` to
-    its row count.
+    A plain file whose six columns hold the six fields under ``mapping``,
+    one each, as ``write_flows`` writes it, is read in blocks of about 64 KB
+    by numpy's C reader. Memory is the block being read, the one the caller
+    still holds, and one entry of ``ips`` per distinct raw IP text. A whole
+    file read so sets ``stats.rows`` and ``stats.parsed`` to its row count.
 
-    A file given with a mapping goes straight to the row parser: numpy's
-    reader matches columns by their canonical header names only. So does a
-    file that cannot seek back. The first block that is not plain or holds a
-    row numpy cannot read or the parser would reject also goes to the row
-    parser, which reads the file again from its start, counts into
-    ``stats`` and skips the rows already yielded. So every error, skipped
-    row and count is the parser's own, with its message and line number, at
-    the cost of parsing the yielded prefix once more. The parser's IP text
-    is already canonical, so ``ips.keep`` names it.
+    A file that cannot seek back goes straight to the row parser. Another
+    header (extra columns, one column serving two fields), or the first block
+    that is not plain or holds a row numpy cannot read or the parser would
+    reject, sends the file to the row parser, which reads it again from its
+    start, counts into ``stats`` and skips the rows already yielded. So every
+    error, skipped row and count is the parser's own, with its message and
+    line number, at the cost of parsing the yielded prefix once more. The
+    parser's IP text is already canonical, so ``ips.keep`` names it.
     """
     done = 0
-    if not mapping and fh.seekable():
+    if fh.seekable():
         try:
-            for block in _plain_blocks(fh, ips):
+            for block in _plain_blocks(fh, ips, mapping):
                 done += len(block[3])
                 yield block
             if stats is not None:
@@ -260,17 +258,19 @@ def flow_columns(
 def prepared_rows(fh: IO[str], sort: str, on_error: str, stats, mapping) -> Iterator[FlowRow]:
     """The rows ``prepare --dedupe --sort <sort> --on-error <on_error>``
     writes from the flow file ``fh``, its columns named as ``mapping`` (the
-    parsed ``--columns``, or None) names them, read by ``flow_columns``,
-    which counts into ``stats`` as the row parser does. The one reader of
-    ``prepare --dedupe``.
+    parsed ``--columns``, or None) names them, read by ``flow_columns``, by
+    blocks for a plain file with or without a mapping, counted into
+    ``stats`` as the row parser counts. The one reader of ``prepare --dedupe``.
 
     The rows are the first of each dedupe key, in input order (``sort``
     "none") or stably sorted by start_ts ("start"); with "end", the rows are
     stably sorted by end_ts first, so the kept row of a key is its
-    earliest-ending one. The whole file is read before the first row is
+    earliest-ending one. Any other ``sort`` raises ``sort_flows``' ValueError
+    before a row is read. The whole file is read before the first row is
     given, into the five ``_columns``, 28 bytes a row, plus one entry per
     distinct IP.
     """
+    _check_sort_key(sort)
     ips, columns = flow_columns(fh, on_error, stats, mapping)
     if sort == "end":
         order = np.argsort(columns[4], kind="stable")

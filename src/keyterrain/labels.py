@@ -66,7 +66,7 @@ class AddressSet:
         entry is reported with the file and its line number.
         """
         found = cls(())
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for line_no, line in enumerate(fh, start=1):
                 try:
                     found._add(line.split("#", 1)[0])

@@ -1,6 +1,7 @@
 """End-to-end CLI runs over temporary files."""
 
 import argparse
+import codecs
 import csv
 import hashlib
 import inspect
@@ -1092,20 +1093,29 @@ def test_prepare_skips_a_row_past_the_first_block_as_the_row_path_does(
 QUOTED_IP_ROW = '9,9,"10.0.0.3",10.0.0.4,1,2\n'
 
 
+# the canonical header with start_ts and end_ts renamed, and the --columns
+# that names them back
+RENAMED_HEADER = HEADER.replace("start_ts", "first_ts").replace("end_ts", "last_ts")
+RENAMED_COLUMNS = "start_ts=first_ts,end_ts=last_ts"
+
+
+@pytest.mark.parametrize("header, columns", [(HEADER, None), (RENAMED_HEADER, RENAMED_COLUMNS)],
+                         ids=["canonical", "renamed"])
 @pytest.mark.parametrize("bad_row, message", BAD_ROWS)
 def test_prepare_by_blocks_falls_back_once_to_the_row_parser(
-    tmp_path, capsys, monkeypatch, bad_row, message
+    tmp_path, capsys, monkeypatch, bad_row, message, header, columns
 ):
     # the quoted IP past the first block sends the file to flow_blocks' row
     # parser, which skips the bad row after it; no row dedupe runs
     flows_path = tmp_path / "flows.csv"
-    flows_path.write_text(HEADER + "".join(PLAIN_ROWS[:3000]) + QUOTED_IP_ROW
+    flows_path.write_text(header + "".join(PLAIN_ROWS[:3000]) + QUOTED_IP_ROW
                           + "".join(PLAIN_ROWS[3000:3500]) + bad_row + "\n"
                           + "".join(PLAIN_ROWS[3500:]))
-    expected = prepared_by_rows(flows_path.read_bytes().decode(), "start", "skip")
+    mapping = cli_module._parse_column_mapping(columns)
+    expected = prepared_by_rows(flows_path.read_bytes().decode(), "start", "skip", mapping)
     spies = spy_on_row_path(monkeypatch)
     run = prepare_run(capsys, flows_path, tmp_path / "out.csv", "--sort", "start",
-                      "--on-error", "skip")
+                      "--on-error", "skip", *(["--columns", columns] if columns else []))
     assert run[:3] == (
         0,
         ["rows read: 4002", "records parsed: 4001", "rows skipped: 1", "duplicates removed: 0",
@@ -1113,16 +1123,16 @@ def test_prepare_by_blocks_falls_back_once_to_the_row_parser(
         f"  skipped line 3503: {message}\n",
     )
     assert run == expected
-    passed = assert_read_once_by_graph(spies, columns=None, on_error="skip")
+    passed = assert_read_once_by_graph(spies, columns=mapping, on_error="skip")
     # the command's own counters: the re-read prefix is counted once
     stats = passed["stats"]
     assert (stats.rows, stats.parsed, stats.skipped) == (4002, 4001, 1)
 
 
-def test_prepare_dedupe_with_columns_reads_once_by_the_row_parser(tmp_path, capsys, monkeypatch):
-    # numpy's reader matches columns by their canonical names, so a mapping
-    # sends the file straight to flow_blocks' row parser; swapped IP columns
-    # over a canonical header read wrong by any other way
+def test_prepare_dedupe_with_columns_reads_by_blocks(tmp_path, capsys, monkeypatch):
+    # the mapping picks each field's column for numpy's reader as for the
+    # row parser; swapped IP columns over a canonical header read wrong by
+    # the header's own names
     flows_path = tmp_path / "flows.csv"
     flows_path.write_text(HEADER + "".join(PLAIN_ROWS) + "".join(PLAIN_ROWS[:1000]))
     mapping = {"src_ip": "dst_ip", "dst_ip": "src_ip"}
@@ -1138,7 +1148,7 @@ def test_prepare_dedupe_with_columns_reads_once_by_the_row_parser(tmp_path, caps
     )
     assert run == expected
     assert run[3].splitlines()[1] == b"0,1,10.0.0.2,10.0.0.1,1000,443"
-    assert_read_once_by_graph(spies, columns=mapping, on_error="abort")
+    assert not any(spy.called for spy in spies.values())
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -1309,6 +1319,43 @@ def test_plain_file_never_reaches_the_row_parser_in_stream(tmp_path, monkeypatch
     assert sorted(path.name for path in out.glob("*.csv")) == names
     for name in names:
         assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["prepare", "learn", "stream"])
+def test_byte_order_mark_reads_as_the_plain_file(tmp_path, monkeypatch, labels_path, command):
+    # a UTF-8 byte-order mark before the header once read as part of the
+    # first column's name, and before the first label as part of its address
+    flows_path = tmp_path / "flows.csv"
+    flows_path.write_text(HEADER + "".join(PLAIN_ROWS))
+    marked_flows, marked_labels = tmp_path / "marked.csv", tmp_path / "marked.txt"
+    marked_flows.write_bytes(codecs.BOM_UTF8 + flows_path.read_bytes())
+    marked_labels.write_bytes(codecs.BOM_UTF8 + labels_path.read_bytes())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a plain flow file went through the row parser")
+
+    monkeypatch.setattr(graph_module, "parse_flow_rows", refuse)
+    for flows, labels, out in ((flows_path, labels_path, "plain"),
+                               (marked_flows, marked_labels, "marked")):
+        args = flow_command(command, flows, labels, tmp_path / out)
+        if command == "stream":
+            args += ["--local-prefixes", str(labels)]
+        assert main(args) == 0
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    if command == "prepare":
+        assert marked.read_bytes() == plain.read_bytes()
+        return
+    names = sorted(path.name for path in plain.glob("*.csv"))
+    assert len(names) >= 3
+    assert sorted(path.name for path in marked.glob("*.csv")) == names
+    for name in names:
+        assert (marked / name).read_bytes() == (plain / name).read_bytes(), name
+    summary, key = ("summary.json", "samples") if command == "stream" else ("report.json", "graph")
+    marked_summary, plain_summary = (json.loads((out / summary).read_text())[key]
+                                     for out in (marked, plain))
+    assert marked_summary == plain_summary
+    if command == "stream":
+        assert plain_summary[-1]["topk_local_members"] == 1
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])

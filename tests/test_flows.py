@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from keyterrain import flows as flows_module
 from keyterrain.flows import (
     CANONICAL_COLUMNS,
     FlowParseError,
@@ -358,3 +359,42 @@ class TestRecordInvariants:
 
     def test_port_pair_is_ordered(self):
         assert PortPair(80, 443) != PortPair(443, 80)
+
+
+@pytest.mark.parametrize(
+    "header, columns, fields",
+    [
+        (HEADER, None, list(CANONICAL_COLUMNS)),
+        (" dst_port , src_ip,start_ts,end_ts,dst_ip,src_port", None,
+         ["dst_port", "src_ip", "start_ts", "end_ts", "dst_ip", "src_port"]),
+        (HEADER, {"src_ip": "dst_ip", "dst_ip": "src_ip"},
+         ["start_ts", "end_ts", "dst_ip", "src_ip", "src_port", "dst_port"]),
+        ("first,last,sa,da,sp,dp",
+         dict(zip(CANONICAL_COLUMNS, ("first", "last", "sa", "da", "sp", "dp"))),
+         list(CANONICAL_COLUMNS)),
+    ],
+)
+def test_plain_names_give_the_field_of_each_column(header, columns, fields):
+    assert flows_module._plain_names(header + "\n", columns) == fields
+
+
+@pytest.mark.parametrize(
+    "header, columns, message",
+    [
+        (HEADER + ",bytes", None, "not a plain six-column header"),
+        (HEADER, {"start_ts": "end_ts"}, "not a plain six-column header"),
+        ("ts,src_ip,dst_ip,src_port,dst_port,proto", {"start_ts": "ts", "end_ts": "ts"},
+         "not a plain six-column header"),
+        ('"start_ts",end_ts,src_ip,dst_ip,src_port,dst_port', {"start_ts": '"start_ts"'},
+         "not a plain six-column header"),
+        (HEADER, {"proto": "proto"}, "unknown column mapping keys: ['proto']"),
+        (HEADER, {"src_ip": "sa"}, "line 1: missing column 'sa'"),
+        ("", None, "line 1: missing column 'start_ts'"),
+    ],
+)
+def test_plain_names_reject_what_numpy_cannot_read_as_the_parser_reads(header, columns, message):
+    # the parser reads each of these headers, or rejects it with the same
+    # words; numpy's reader takes six columns holding the six fields only
+    with pytest.raises(ValueError) as excinfo:
+        flows_module._plain_names(header + "\n", columns)
+    assert str(excinfo.value) == message

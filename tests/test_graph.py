@@ -27,6 +27,7 @@ from keyterrain.flows import (
     PortPair,
     dedupe_flows,
     parse_flow_rows,
+    sort_flows,
     write_flows,
 )
 from keyterrain.graph import (
@@ -37,6 +38,7 @@ from keyterrain.graph import (
     count_port_pairs,
     filter_port_pairs,
     flow_blocks,
+    prepared_rows,
     read_learning_graph,
     write_edge_list,
 )
@@ -654,52 +656,88 @@ def quoted_ip_then_bad_row(at):
 
 
 # --columns values: none, one that renames nothing, one that swaps the IP
-# columns of a canonical header, and one that reads one column as two fields
+# columns of a canonical header, one that reads one column as two fields, one
+# with a key that is no field, and one that names a column no header has
 COLUMN_MAPPINGS = (
     None, {"src_ip": "src_ip"}, {"src_ip": "dst_ip", "dst_ip": "src_ip"},
-    {"start_ts": "end_ts"},
+    {"start_ts": "end_ts"}, {"src_ip": "src_ip", "proto": "proto"}, {"dst_port": "dp"},
 )
+# names an exporter may give the six fields; none is a canonical name or holds one
+RENAMED = dict(zip(CANONICAL_COLUMNS, ("first_ts", "last_ts", "sa", "da", "sp", "dp")))
+
+# PLAIN_BLOCKS with start_ts renamed and a seventh column
+SEVEN_COLUMNS = "".join(
+    f"{line},7\n" for line in PLAIN_BLOCKS.replace("start_ts", "first_ts", 1).splitlines()
+)
+
+
+@st.composite
+def flow_files_and_columns(draw):
+    """A text of ``flow_file_texts`` and a parsed ``--columns`` for it: one
+    of COLUMN_MAPPINGS, or, with a "renamed" header that calls some fields
+    by their RENAMED names, the mapping that names them back."""
+    text = draw(flow_file_texts())
+    if draw(st.booleans()):
+        return text, draw(st.sampled_from(COLUMN_MAPPINGS))
+    fields = draw(st.lists(st.sampled_from(CANONICAL_COLUMNS), min_size=1, unique=True))
+    header, newline, rows = text.partition("\n")
+    for field in fields:
+        header = header.replace(field, RENAMED[field])
+    return header + newline + rows, {field: RENAMED[field] for field in fields}
 
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(
-    text=flow_file_texts(),
+    file=flow_files_and_columns(),
     block=st.sampled_from((1, 7, 64, 1 << 16)),
     sort=st.sampled_from(("start", "end", "none")),
     on_error=st.sampled_from(("abort", "skip")),
-    mapping=st.sampled_from(COLUMN_MAPPINGS),
 )
-@example(text=PLAIN_BLOCKS + PLAIN_BLOCKS[len(CANONICAL_HEADER):], block=1 << 16, sort="end",
-         on_error="abort", mapping=None)
-@example(text=TIED_ROWS, block=1 << 16, sort="start", on_error="abort", mapping=None)
-@example(text=TIED_ROWS, block=64, sort="end", on_error="abort", mapping=None)
-@example(text=after_plain_blocks("9,9,10.0.0.3,nope,1,2"), block=1 << 16, sort="start",
-         on_error="skip", mapping=None)
-@example(text=quoted_ip_then_bad_row(3002), block=1 << 16, sort="start", on_error="skip",
-         mapping=None)
-@example(text=quoted_ip_then_bad_row(3002), block=1 << 16, sort="end", on_error="skip",
-         mapping=None)
-@example(text=quoted_ip_then_bad_row(3002), block=1 << 16, sort="none", on_error="skip",
-         mapping=None)
-@example(text=quoted_ip_then_bad_row(2), block=1 << 16, sort="start", on_error="skip",
-         mapping=None)
-@example(text=quoted_ip_then_bad_row(2), block=1 << 16, sort="end", on_error="skip",
-         mapping=None)
-@example(text=quoted_ip_then_bad_row(2), block=1 << 16, sort="none", on_error="skip",
-         mapping=None)
-@example(text=PLAIN_BLOCKS, block=1 << 16, sort="start", on_error="abort",
-         mapping=COLUMN_MAPPINGS[2])
-@example(text=CANONICAL_HEADER, block=1 << 16, sort="start", on_error="abort", mapping=None)
-@example(text="", block=1 << 16, sort="none", on_error="abort", mapping=None)
-def test_prepare_dedupe_by_blocks_writes_what_the_row_path_writes(
-    text, block, sort, on_error, mapping
-):
+@example(file=(PLAIN_BLOCKS + PLAIN_BLOCKS[len(CANONICAL_HEADER):], None), block=1 << 16,
+         sort="end", on_error="abort")
+@example(file=(TIED_ROWS, None), block=1 << 16, sort="start", on_error="abort")
+@example(file=(TIED_ROWS, None), block=64, sort="end", on_error="abort")
+@example(file=(after_plain_blocks("9,9,10.0.0.3,nope,1,2"), None), block=1 << 16, sort="start",
+         on_error="skip")
+@example(file=(quoted_ip_then_bad_row(3002), None), block=1 << 16, sort="start", on_error="skip")
+@example(file=(quoted_ip_then_bad_row(3002), None), block=1 << 16, sort="end", on_error="skip")
+@example(file=(quoted_ip_then_bad_row(3002), None), block=1 << 16, sort="none", on_error="skip")
+@example(file=(quoted_ip_then_bad_row(2), None), block=1 << 16, sort="start", on_error="skip")
+@example(file=(quoted_ip_then_bad_row(2), None), block=1 << 16, sort="end", on_error="skip")
+@example(file=(quoted_ip_then_bad_row(2), None), block=1 << 16, sort="none", on_error="skip")
+@example(file=(PLAIN_BLOCKS, COLUMN_MAPPINGS[2]), block=1 << 16, sort="start",
+         on_error="abort")
+@example(file=(PLAIN_BLOCKS.replace("start_ts", "first_ts", 1), {"start_ts": "first_ts"}),
+         block=1 << 16, sort="end", on_error="abort")
+@example(file=(SEVEN_COLUMNS, {"start_ts": "first_ts"}), block=1 << 16, sort="start",
+         on_error="abort")
+@example(file=(PLAIN_BLOCKS, COLUMN_MAPPINGS[3]), block=1 << 16, sort="start",
+         on_error="abort")
+@example(file=(PLAIN_BLOCKS, COLUMN_MAPPINGS[4]), block=1 << 16, sort="start",
+         on_error="abort")
+@example(file=(PLAIN_BLOCKS, COLUMN_MAPPINGS[5]), block=1 << 16, sort="start",
+         on_error="abort")
+@example(file=(CANONICAL_HEADER, None), block=1 << 16, sort="start", on_error="abort")
+@example(file=("", None), block=1 << 16, sort="none", on_error="abort")
+def test_prepare_dedupe_by_blocks_writes_what_the_row_path_writes(file, block, sort, on_error):
+    text, mapping = file
     args = ["--sort", sort, "--dedupe", "--on-error", on_error]
     if mapping is not None:
         args += ["--columns", ",".join(f"{field}={name}" for field, name in mapping.items())]
     expected = prepared_by_rows(text, sort, on_error, mapping)
     assert len(expected[1]) == 5 or expected[0] == 1
     assert prepare_file(text, args, block) == expected
+
+
+@pytest.mark.parametrize("sort", ["middle", "", "START", None])
+def test_prepared_rows_reject_what_sort_flows_rejects(sort):
+    fh = io.StringIO(TIED_ROWS)
+    with pytest.raises(ValueError) as expected:
+        list(sort_flows([], sort))
+    with pytest.raises(ValueError) as excinfo:
+        prepared_rows(fh, sort, "abort", None, None)
+    assert str(excinfo.value) == str(expected.value)
+    assert fh.tell() == 0
 
 
 def stream_one_row_at_a_time(rows, table, config, labels, state):
@@ -767,7 +805,7 @@ def test_plain_blocks_stop_at_a_bad_ip_before_its_block(monkeypatch):
     rows = ["1,2,10.0.0.1,10.0.0.2,80,443", "3,4,10.0.0.2,10.0.0.1,443,80",
             "5,6,10.0.0.3,nope,1,2", "7,8,10.0.0.1,10.0.0.3,1,2"]
     text = io.StringIO(CANONICAL_HEADER + "\n".join(rows) + "\n")
-    blocks = graph_module._plain_blocks(text, flows_module._IpTable())
+    blocks = graph_module._plain_blocks(text, flows_module._IpTable(), None)
     assert [(src, dst, len(block)) for src, dst, _, block in islice(blocks, 2)] == [
         (["10.0.0.1"], ["10.0.0.2"], 1), (["10.0.0.2"], ["10.0.0.1"], 1)
     ]
